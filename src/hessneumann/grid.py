@@ -28,8 +28,8 @@ class BoxGrid:
             raise ValueError("lo and hi must have the same length")
         if len(self.lo) not in (2, 3):
             raise ValueError("only dimensions 2 and 3 are supported")
-        if any(b <= a for a, b in zip(self.lo, self.hi)):
-            raise ValueError("hi must exceed lo on every axis")
+        if not all(np.isfinite(a) and np.isfinite(b) and a < b for a, b in zip(self.lo, self.hi)):
+            raise ValueError("lo and hi must be finite, and hi must exceed lo on every axis")
         if self.m < 9 or self.m % 2 == 0:
             raise ValueError("m must be odd and at least 9")
 

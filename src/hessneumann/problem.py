@@ -226,7 +226,23 @@ class ProblemFormatError(ValueError):
     """A problem file is malformed or fails validation."""
 
 
+def _integer(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ProblemFormatError(f"'{key}' must be an integer (got {value!r})")
+    return int(value)
+
+
 def _field_from_json(payload, grid: BoxGrid, name: str) -> ScalarField:
+    try:
+        return _parse_field(payload, grid, name)
+    except ProblemFormatError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ProblemFormatError(f"field '{name}': {exc}") from exc
+
+
+def _parse_field(payload, grid: BoxGrid, name: str) -> ScalarField:
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ProblemFormatError(f"field '{name}' must be an object with a 'kind'")
     kind = payload["kind"]
@@ -247,7 +263,9 @@ def _field_from_json(payload, grid: BoxGrid, name: str) -> ScalarField:
             raise ProblemFormatError(f"field '{name}': variable {bad[0]!r} undefined for n={grid.n}")
         pts = grid.points()
         env = {f"x{i + 1}": pts[:, i] for i in range(grid.n)}
-        vals = np.broadcast_to(np.asarray(fn(env), dtype=float), (grid.size,))
+        # non-finite values are rejected by ScalarField below, so numpy need not warn
+        with np.errstate(all="ignore"):
+            vals = np.broadcast_to(np.asarray(fn(env), dtype=float), (grid.size,))
         return ScalarField(grid, vals.reshape(grid.shape))
     if kind == "grid":
         vals = np.asarray(payload.get("values", []), dtype=float)
@@ -277,13 +295,14 @@ def load_problem(path) -> ProblemSpec:
     if not isinstance(box, dict) or not all(key in box for key in ("lo", "hi", "m")):
         raise ProblemFormatError("'box' must be an object with 'lo', 'hi' and 'm'")
     try:
-        grid = BoxGrid(tuple(box["lo"]), tuple(box["hi"]), int(box["m"]))
+        grid = BoxGrid(tuple(box["lo"]), tuple(box["hi"]), _integer(box, "m"))
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"invalid box: {exc}") from exc
-    if grid.n != int(doc["n"]):
-        raise ProblemFormatError(f"'n' = {doc['n']} does not match box dimension {grid.n}")
+    n = _integer(doc, "n")
+    if grid.n != n:
+        raise ProblemFormatError(f"'n' = {n} does not match box dimension {grid.n}")
     try:
-        op = OperatorSpec(int(doc["n"]), int(doc["k"]), int(doc["l"]) if "l" in doc and doc["l"] is not None else None)
+        op = OperatorSpec(n, _integer(doc, "k"), _integer(doc, "l") if doc.get("l") is not None else None)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"invalid operator: {exc}") from exc
 

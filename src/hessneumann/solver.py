@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grid import BoxGrid, ScalarField
 from .operator import OperatorSpec, grad_at_eta
@@ -33,12 +34,19 @@ __all__ = [
     "hessian_at",
     "residual",
     "jacobian",
+    "laplace_robin",
     "newton_solve",
     "continuation_solve",
     "diagnostics",
 ]
 
 _MIN_CONTINUATION_STEP = 1.0 / 256.0
+
+# GMRES stopping test on the true residual |b - J x| <= rtol |b|; restarts of
+# up to _GMRES_RESTART iterations, at most _GMRES_MAXITER of them.
+_GMRES_RTOL = 1e-10
+_GMRES_RESTART = 60
+_GMRES_MAXITER = 5
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,8 @@ class IterationRecord:
     residual_norm: float
     step: float
     min_margin: float
+    krylov_iterations: int
+    direct_fallback: bool
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,13 @@ class SolveReport:
             "residual_norm": self.residual_norm,
             "final_margin": self.final_margin,
             "iterations": [
-                {"residual_norm": r.residual_norm, "step": r.step, "min_margin": r.min_margin}
+                {
+                    "residual_norm": r.residual_norm,
+                    "step": r.step,
+                    "min_margin": r.min_margin,
+                    "krylov_iterations": r.krylov_iterations,
+                    "direct_fallback": r.direct_fallback,
+                }
                 for r in self.iterations
             ],
             "continuation": [
@@ -262,10 +278,7 @@ def _residual_values(values: np.ndarray, eta: np.ndarray, spec: ProblemSpec) -> 
 def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
     """Sparse derivative of the residual with respect to every nodal value."""
     grid = spec.grid
-    n, m, h = grid.n, grid.m, grid.h
-    values = u.values
-
-    eta, q = _interior_eta(values, grid, want_vectors=True)
+    eta, q = _interior_eta(u.values, grid, want_vectors=True)
     margins = _margins(eta, spec.op)
     if margins.min() <= 0.0:
         node, worst = _worst_node(margins)
@@ -277,8 +290,26 @@ def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
     g = grad_at_eta(eta, spec.op)
     a = np.einsum("...ij,...j,...kj->...ik", q, g, q)
     tr = np.trace(a, axis1=-2, axis2=-1)
-    fw = tr[..., None, None] * np.eye(n) - a  # dF/dr at each interior node
+    fw = tr[..., None, None] * np.eye(grid.n) - a  # dF/dr at each interior node
+    return _assemble(grid, spec.beta, fw)
 
+
+def laplace_robin(grid: BoxGrid, beta: float) -> sp.csr_matrix:
+    """The state-independent k = 1 Jacobian: (n-1) times the Laplacian inside, the Robin rows on the boundary.
+
+    Its interior rows hold only the (2n+1)-point pattern: no explicit zeros
+    are stored, because SuperLU would compute fill for them too.
+    """
+    n = grid.n
+    fw = np.broadcast_to((n - 1.0) * np.eye(n), (grid.m - 2,) * n + (n, n))
+    mat = _assemble(grid, beta, fw)
+    mat.eliminate_zeros()
+    return mat
+
+
+def _assemble(grid: BoxGrid, beta: float, fw: np.ndarray) -> sp.csr_matrix:
+    """Interior rows contract the linearization fw with the Hessian stencil; boundary rows are Robin."""
+    n, m, h = grid.n, grid.m, grid.h
     flat = grid.flat_index()
     core = grid.interior()
     idx = flat[core].ravel()
@@ -320,7 +351,7 @@ def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
             add(face, in1, -4.0 / (2.0 * h[axis]) * w)
             add(face, in2, 1.0 / (2.0 * h[axis]) * w)
     bidx = flat[grid.boundary_mask()]
-    add(bidx, bidx, np.full(bidx.shape, spec.beta))
+    add(bidx, bidx, np.full(bidx.shape, beta))
 
     mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -329,25 +360,90 @@ def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
     return mat.tocsr()
 
 
+class _LaplaceRobinLU:
+    """One LU of laplace_robin(grid, beta), factored on first use and shared by every Newton step on that grid.
+
+    Strict ellipticity keeps each Jacobian spectrally equivalent to this
+    operator, so preconditioned GMRES needs a mesh-independent number of
+    iterations.
+    """
+
+    def __init__(self, grid: BoxGrid, beta: float):
+        self.grid = grid
+        self.beta = beta
+        self._lu = None
+        self._diag = None
+
+    def solver(self, jac_diag: np.ndarray):
+        """P^-1 = LU(L)^-1 diag(diag(L) / diag(J)): L with its rows scaled to the Jacobian's diagonal."""
+        if self._lu is None:
+            mat = laplace_robin(self.grid, self.beta)
+            self._diag = mat.diagonal()
+            self._lu = spla.splu(mat.tocsc())
+        lu, scale = self._lu, self._diag / jac_diag
+        return lambda v: lu.solve(scale * v.ravel())
+
+
+def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _LaplaceRobinLU):
+    """Solve mat @ x = rhs by preconditioned GMRES; returns (x, Krylov iterations, used the direct fallback).
+
+    A GMRES run that misses the tolerance falls back to a sparse LU of mat.
+    """
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    pinv = LinearOperator(mat.shape, matvec=precond.solver(mat.diagonal()), dtype=float)
+    x, info = gmres(
+        mat,
+        rhs,
+        rtol=_GMRES_RTOL,
+        atol=0.0,
+        restart=_GMRES_RESTART,
+        maxiter=_GMRES_MAXITER,
+        M=pinv,
+        callback=count,
+        callback_type="pr_norm",
+    )
+    if info != 0:
+        return spla.splu(mat.tocsc()).solve(rhs), iterations, True
+    return x, iterations, False
+
+
 # ---------------------------------------------------------------------------
 # Newton and continuation
 # ---------------------------------------------------------------------------
 
 
-def newton_solve(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None = None):
+def newton_solve(
+    u0: ScalarField,
+    spec: ProblemSpec,
+    opts: NewtonOptions | None = None,
+    preconditioner: _LaplaceRobinLU | None = None,
+):
     """Damped Newton from an admissible start.
 
-    Solves J delta = -R with a sparse LU per iteration and halves the step
-    until the trial iterate is strictly admissible at every interior node and
-    the residual sup norm satisfies the Armijo decrease.  Terminates at
+    Solves J delta = -R by GMRES preconditioned with one LU of
+    laplace_robin(grid, beta) (falling back to a sparse LU of J when GMRES
+    misses its tolerance), and halves the step until the trial iterate is
+    strictly admissible at every interior node and the residual sup norm
+    satisfies the Armijo decrease.  Terminates at
     opts.tol (residual sup norm) or opts.max_iter; returns (solution, report)
     with report.converged telling which.  A line-search step below
-    opts.min_step raises NonconvergenceError.
+    opts.min_step raises NonconvergenceError.  ``preconditioner`` shares that
+    LU between calls on the same grid and beta (continuation_solve passes one
+    to all its stages); by default each call factors its own.
     """
     opts = opts or NewtonOptions()
     grid = spec.grid
     if u0.grid != grid:
         raise ValueError("initial guess lives on a different grid")
+    if preconditioner is None:
+        preconditioner = _LaplaceRobinLU(grid, spec.beta)
+    elif preconditioner.grid != grid or preconditioner.beta != spec.beta:
+        raise ValueError("preconditioner was built for a different grid or beta")
     psi_t = spec.psi_tilde()
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
 
@@ -370,8 +466,8 @@ def newton_solve(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None 
         if rnorm <= tol:
             break
         mat = jacobian(ScalarField(grid, u), spec)
-        lu = spla.splu(mat.tocsc())
-        delta = lu.solve(-res.ravel()).reshape(grid.shape)
+        delta, krylov, fallback = _newton_direction(mat, -res.ravel(), preconditioner)
+        delta = delta.reshape(grid.shape)
 
         alpha = 1.0
         accepted = False
@@ -395,7 +491,7 @@ def newton_solve(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None 
                 f"line search underflow (step < {opts.min_step:g}) at residual {rnorm:.3e}", report
             )
         u, res, rnorm, mmin = trial, res_t, rnorm_t, mmin_t
-        report.iterations.append(IterationRecord(rnorm, alpha, mmin))
+        report.iterations.append(IterationRecord(rnorm, alpha, mmin, krylov, fallback))
 
     report.converged = bool(rnorm <= tol)
     report.residual_norm = rnorm
@@ -441,6 +537,7 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
         targets = [1.0] if identical else _default_targets()
 
     report = SolveReport()
+    preconditioner = _LaplaceRobinLU(grid, spec.beta)
     u = u_start.values.copy()
     t_prev = 0.0
     i = 0
@@ -455,7 +552,7 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
             ScalarField(grid, (1.0 - t) * phi0 + t * phi1),
         )
         try:
-            sol, stage_rep = newton_solve(ScalarField(grid, u), stage_spec, opts)
+            sol, stage_rep = newton_solve(ScalarField(grid, u), stage_spec, opts, preconditioner)
             ok = stage_rep.converged
         except NonconvergenceError as exc:
             sol, stage_rep, ok = None, exc.report, False

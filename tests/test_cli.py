@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import hessneumann
 from hessneumann.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -93,6 +98,30 @@ class TestSolve:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False and report["continuation"]
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("psi", {"kind": "constant", "value": "abc"}),
+            ("psi", {"kind": "expression", "expr": "1/(x1-x1)"}),
+            ("psi", {"kind": "constant", "value": float("nan")}),
+            ("m", 9.5),
+            ("lo", [0.0, 0.0, float("nan")]),
+            ("n", 3.5),
+            ("k", 2.5),
+            ("l", 1.5),
+        ],
+    )
+    def test_bad_problem_value_exits_2(self, tmp_path, capsys, key, value):
+        doc = small_paraboloid_doc()
+        if key in ("m", "lo"):
+            doc["box"][key] = value
+        else:
+            doc[key] = value
+        code = main(["solve", "--problem", str(write_problem(tmp_path, doc)), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bundled_problem_files_load(self):
         from hessneumann.problem import load_problem
 
@@ -158,3 +187,18 @@ class TestParser:
     def test_missing_required_flag(self, capsys):
         assert main(["solve"]) == 2
         capsys.readouterr()
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["hessneumann", "hessneumann.cli"])
+    def test_python_dash_m(self, module):
+        src = str(Path(hessneumann.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", module, *args], env=env, capture_output=True, text=True, timeout=60)
+
+        shown = run("--help")
+        assert shown.returncode == 0 and "solve" in shown.stdout
+        missing = run("solve")
+        assert missing.returncode == 2 and "--problem" in missing.stderr

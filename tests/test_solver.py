@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from hessneumann import solver
 from hessneumann.grid import BoxGrid, ScalarField
 from hessneumann.operator import OperatorSpec
 from hessneumann.problem import build_case, manufactured_problem, paraboloid, perturbed_paraboloid
@@ -13,6 +15,7 @@ from hessneumann.solver import (
     diagnostics,
     hessian_at,
     jacobian,
+    laplace_robin,
     newton_solve,
     residual,
 )
@@ -23,6 +26,15 @@ def paraboloid_spec(m=9, n=3, k=2, beta=1.0):
     lo, hi = (0.0,) * n, (1.0,) * n
     grid = BoxGrid(lo, hi, m)
     return manufactured_problem(paraboloid(grid.center), OperatorSpec(n, k), beta, grid)
+
+
+def psi_zero_spec(m=9):
+    """The paraboloid problem with psi = 12 |x - c|^2, which vanishes at the center."""
+    spec0, _ = paraboloid_spec(m=m)
+    grid = spec0.grid
+    pts = grid.points()
+    psi = 12.0 * ((pts - 0.5) ** 2).sum(axis=1).reshape(grid.shape)
+    return type(spec0)(grid, spec0.op, 1.0, ScalarField(grid, psi), spec0.phi)
 
 
 def quadratic_field(grid, a, b, c=0.0):
@@ -142,6 +154,74 @@ class TestJacobian:
         assert per_row.max() <= 3**3 + 2
 
 
+class TestLaplaceRobin:
+    def test_equals_k1_jacobian(self):
+        spec, u_star = build_case("perturbed-paraboloid-2d", 9)
+        assert abs(laplace_robin(spec.grid, spec.beta) - jacobian(u_star, spec)).max() < 1e-12
+
+    def test_stores_no_zeros(self):
+        spec, _ = paraboloid_spec(m=9)
+        mat = laplace_robin(spec.grid, spec.beta)
+        assert (mat.data != 0).all()
+        core = spec.grid.flat_index()[spec.grid.interior()].ravel()
+        assert np.diff(mat.indptr)[core].max() == 2 * 3 + 1
+
+
+def mid_continuation_iterate(spec):
+    """Solution of the halfway stage of continuation_solve(spec), as the next stage's start."""
+    spec0, _ = manufactured_problem(paraboloid(spec.grid.center), spec.op, spec.beta, spec.grid)
+    blend = 0.5 * (spec0.psi_tilde() + spec.psi_tilde())
+    half = type(spec)(
+        spec.grid,
+        spec.op,
+        spec.beta,
+        ScalarField(spec.grid, blend**spec.op.degree),
+        ScalarField(spec.grid, 0.5 * (spec0.phi.values + spec.phi.values)),
+    )
+    sol, rep = continuation_solve(half)
+    assert rep.converged
+    return sol
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("case", ["psi-zero-mid-continuation", "quotient"])
+    def test_matches_direct_solve(self, case):
+        if case == "quotient":
+            grid = BoxGrid((0, 0, 0), (1, 1, 1), 9)
+            spec, u_star = manufactured_problem(paraboloid(grid.center), OperatorSpec(3, 2, 1), 1.0, grid)
+            rng = np.random.default_rng(7)
+            u = ScalarField(grid, u_star.values + 1e-3 * rng.standard_normal(grid.shape))
+        else:
+            spec = psi_zero_spec(m=9)
+            u = mid_continuation_iterate(spec)
+        mat = jacobian(u, spec)
+        rhs = -residual(u, spec).values.ravel()
+        want = spla.splu(mat.tocsc()).solve(rhs)
+        got, iterations, fallback = solver._newton_direction(
+            mat, rhs, solver._LaplaceRobinLU(spec.grid, spec.beta)
+        )
+        assert not fallback and iterations > 1
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_gmres_failure_falls_back_to_direct_lu(self, monkeypatch):
+        spec, u_star = build_case("perturbed-paraboloid", 9)
+        grid = spec.grid
+        u0 = ScalarField(grid, quadratic_field(grid, np.eye(3), np.zeros(3)).values)
+        sol_ref, rep_ref = newton_solve(u0, spec)
+        assert not any(r.direct_fallback for r in rep_ref.iterations)
+
+        monkeypatch.setattr(solver, "gmres", lambda a, b, **kwargs: (np.zeros_like(b), 1))
+        sol, rep = newton_solve(u0, spec)
+        assert rep.converged and rep.iterations
+        assert all(r.direct_fallback for r in rep.iterations)
+        assert np.abs(sol.values - sol_ref.values).max() < 1e-10
+
+    def test_preconditioner_must_match_grid_and_beta(self):
+        spec, u_star = paraboloid_spec(m=9)
+        with pytest.raises(ValueError):
+            newton_solve(u_star, spec, preconditioner=solver._LaplaceRobinLU(spec.grid, 2.0))
+
+
 class TestNewton:
     def test_converges_immediately_from_exact_start(self):
         spec, u_star = paraboloid_spec(m=9)
@@ -156,6 +236,11 @@ class TestNewton:
         sol, rep = newton_solve(u0, spec)
         assert rep.converged and len(rep.iterations) == 1
         assert rep.iterations[0].step == 1.0
+        # the preconditioner equals the k = 1 Jacobian up to its diagonal scaling
+        assert rep.iterations[0].krylov_iterations == 1
+        assert rep.iterations[0].direct_fallback is False
+        record = rep.to_dict()["iterations"][0]
+        assert record["krylov_iterations"] == 1 and record["direct_fallback"] is False
 
     def test_uniqueness_from_distinct_starts(self):
         spec, u_star = paraboloid_spec(m=9)
