@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
-from .ellipticity import ConeSampler, SweepReport, default_sweep_plan, run_sweep
+from .ellipticity import _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_sweep
 from .problem import ProblemFormatError, build_case, load_problem
 from .solver import NewtonOptions, NonconvergenceError, continuation_solve, newton_solve
 from .symfun import ConeError
@@ -28,6 +28,22 @@ _EXACT_FLOOR = 1e-10  # errors below this are at stencil-exactness level
 _MIN_ORDER = 1.7
 
 
+def _checked(kind, ok, wanted: str):
+    """argparse type: a number of the given kind for which ok(value) holds."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted} (got {text!r})")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its "invalid ... value" message
+    return parse
+
+
+_SCALE = _checked(float, lambda x: 0.0 < x <= _MAX_SCALE, f"in (0, {_MAX_SCALE:g}]")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hessneumann", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -36,14 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_SCALE, default=1.0)
     p.add_argument("--out", type=Path, default=Path("."))
 
     p = sub.add_parser("solve", help="continuation-solve a JSON problem file")
     p.add_argument("--problem", type=Path, required=True)
     p.add_argument("--out", type=Path, default=Path("."))
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--tol", type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"), default=None)
+    p.add_argument("--max-iter", type=_checked(int, lambda x: x >= 1, ">= 1"), default=50)
     p.add_argument("--dump-field", action="store_true", help="also write the binary field dump")
 
     p = sub.add_parser("mms-study", help="manufactured-solution convergence study")
@@ -56,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_SCALE, default=1.0)
     p.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
 
     return parser
@@ -72,7 +88,11 @@ def _cmd_verify_lemmas(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     reports: list[SweepReport] = []
     for family, n, k, l in default_sweep_plan(args.n_max):
-        rep = run_sweep(family, n, k, l, samples=args.samples, seed=args.seed, scale=args.scale)
+        try:
+            rep = run_sweep(family, n, k, l, samples=args.samples, seed=args.seed, scale=args.scale)
+        except ConeError as exc:
+            print(f"error: {family} n={n} k={k} l={l}: a sample left the cone: {exc}", file=sys.stderr)
+            return 1
         reports.append(rep)
         tag = f"{family}_n{n}_k{k}" + (f"_l{l}" if l is not None else "")
         (args.out / f"{tag}.json").write_text(rep.to_json() + "\n", encoding="utf-8")
@@ -138,6 +158,9 @@ def _cmd_mms_study(args) -> int:
     if len(grids) < 2:
         print("error: need at least two grid sizes", file=sys.stderr)
         return 2
+    if any(m < 9 or m % 2 == 0 for m in grids) or len(set(grids)) != len(grids):
+        print(f"error: --grids needs distinct odd sizes >= 9 (got {args.grids!r})", file=sys.stderr)
+        return 2
     args.out.mkdir(parents=True, exist_ok=True)
 
     rows = []
@@ -148,7 +171,7 @@ def _cmd_mms_study(args) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
-        except (ValueError, ConeError) as exc:
+        except ConeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         try:

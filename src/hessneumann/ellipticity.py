@@ -52,6 +52,15 @@ __all__ = [
 
 _BLOCK = 4096  # samples per derived generator; fixed so chunking never changes the stream
 _BISECT_TOL = 1e-10
+# The shift t grows like scale / 10 at k = 6.  From a scale of a few million
+# on, float64 cannot resolve the bisection's absolute tolerance at t, and the
+# bisection never ends.  1e6 runs clean with 100000 samples at n <= 6.
+_MAX_SCALE = 1e6
+
+
+def _require_scale(scale: float) -> None:
+    if not 0.0 < scale <= _MAX_SCALE:
+        raise ValueError(f"scale must lie in (0, {_MAX_SCALE:g}] (got {scale!r})")
 
 
 def worker_count(workers: int | None = None) -> int:
@@ -138,8 +147,7 @@ class ConeSampler:
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
             raise ValueError(f"cone index k={self.k} outside [1, {self.n}]")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        _require_scale(self.scale)
 
     def draw(self) -> np.ndarray:
         return self.draw_batch(1)[0]
@@ -286,6 +294,7 @@ def _run_sweep(label, n, k, l, samples, seed, scale, workers, chunk_fn, tol):
     """Shared chunked driver: map chunk_fn over sample ranges, reduce in order."""
     if samples <= 0:
         raise ValueError("empty sweep: samples must be positive")
+    _require_scale(scale)
     t0 = time.perf_counter()
     ranges = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]
     nw = worker_count(workers)

@@ -126,20 +126,40 @@ def perturbed_paraboloid(n: int, amplitude: float) -> ClosedFormField:
     return ClosedFormField(value, gradient, hessian)
 
 
-def _boundary_normal_sum(grid: BoxGrid, grad_values: np.ndarray) -> np.ndarray:
-    """Sum over a node's outward axes of the analytic normal derivative.
+def _require_admissible(e: np.ndarray, what: str, origin: int = 0) -> float:
+    """Least cone margin min_{i >= 1} sigma_i of a table e of sigma_0..sigma_c over grid nodes.
 
-    grad_values has shape grid.shape + (n,); interior entries of the result
-    are zero.
+    Raises ConeError at the worst node unless every margin is positive.  The
+    node axes of e cover the grid from index ``origin`` on every axis, so the
+    node is reported in full-grid indices.
     """
-    out = np.zeros(grid.shape)
-    m, n = grid.m, grid.n
+    margins = e[..., 1:].min(axis=-1)
+    flat = int(np.argmin(margins))
+    worst = float(margins.reshape(-1)[flat])
+    if not worst > 0.0:
+        node = tuple(int(i) + origin for i in np.unravel_index(flat, margins.shape))
+        raise ConeError(f"{what} inadmissible at node {node} (cone margin {worst:.6g})", node=node, value=worst)
+    return worst
+
+
+def _robin_data(grid: BoxGrid, beta: float, u: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """u_nu + beta * u on boundary nodes, zero inside.
+
+    grad holds one grid-shaped derivative per axis.  u_nu is dn / face_count,
+    dn summing the outward normal derivatives of a node's faces, so corner and
+    edge nodes average the conditions of their outward axes.
+    """
+    n, m = grid.n, grid.m
+    dn = np.zeros(grid.shape)
     for a in range(n):
-        sl = [slice(None)] * n
-        sl[a] = 0
-        out[tuple(sl)] += -grad_values[tuple(sl) + (a,)]
-        sl[a] = m - 1
-        out[tuple(sl)] += grad_values[tuple(sl) + (a,)]
+        lo = tuple(0 if b == a else slice(None) for b in range(n))
+        hi = tuple(m - 1 if b == a else slice(None) for b in range(n))
+        dn[lo] -= grad[a][lo]
+        dn[hi] += grad[a][hi]
+    fc = grid.face_count()
+    mask = fc > 0
+    out = np.zeros(grid.shape)
+    out[mask] = dn[mask] / fc[mask] + beta * u[mask]
     return out
 
 
@@ -155,32 +175,14 @@ def manufactured_problem(u_star: ClosedFormField, op: OperatorSpec, beta: float,
     pts = grid.points()
     hess = u_star.hessian(pts)
     tr = np.trace(hess, axis1=-2, axis2=-1)
-    eta_mat = tr[:, None, None] * np.eye(grid.n) - hess
-    eta = np.linalg.eigvalsh(eta_mat)
-    e = sigma_all(eta, op.cone_order)
-    margins = e[:, 1:].min(axis=-1)
-    worst = int(np.argmin(margins))
-    if margins[worst] <= 0:
-        node = tuple(int(i) for i in np.unravel_index(worst, grid.shape))
-        raise ConeError(
-            f"manufactured field is inadmissible at node {node} (margin {margins[worst]:.6g})",
-            value=float(margins[worst]),
-            node=node,
-        )
-    if op.l is None:
-        psi_vals = e[:, op.k]
-    else:
-        psi_vals = e[:, op.k] / e[:, op.l]
-    psi = ScalarField(grid, psi_vals.reshape(grid.shape))
+    eta = np.linalg.eigvalsh(tr[:, None, None] * np.eye(grid.n) - hess)
+    e = sigma_all(eta, op.cone_order).reshape(grid.shape + (-1,))
+    _require_admissible(e, "manufactured field")
+    psi = ScalarField(grid, e[..., op.k] if op.l is None else e[..., op.k] / e[..., op.l])
 
     u_vals = u_star.value(pts).reshape(grid.shape)
-    grad = u_star.gradient(pts).reshape(grid.shape + (grid.n,))
-    fc = grid.face_count()
-    dn = _boundary_normal_sum(grid, grad)
-    phi_vals = np.zeros(grid.shape)
-    mask = fc > 0
-    phi_vals[mask] = dn[mask] / fc[mask] + beta * u_vals[mask]
-    phi = ScalarField(grid, phi_vals)
+    grad = u_star.gradient(pts).T.reshape((grid.n,) + grid.shape)
+    phi = ScalarField(grid, _robin_data(grid, beta, u_vals, grad))
 
     return ProblemSpec(grid, op, beta, psi, phi), ScalarField(grid, u_vals)
 

@@ -19,8 +19,8 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grid import BoxGrid, ScalarField
-from .operator import OperatorSpec, grad_at_eta
-from .problem import ProblemSpec, manufactured_problem, paraboloid
+from .operator import grad_at_eta, value_at_eta
+from .problem import ProblemSpec, _require_admissible, _robin_data, manufactured_problem, paraboloid
 from .symfun import ConeError, sigma_all
 
 __all__ = [
@@ -148,10 +148,46 @@ class ContinuationError(NonconvergenceError):
 # ---------------------------------------------------------------------------
 
 
+# Second-order one-sided stencils at a face, weights ordered from the face
+# inward: the outward first derivative (times 2h) and the second normal
+# derivative (times h^2).
+_OUTWARD_D1 = (3.0, -4.0, 1.0)
+_NORMAL_D2 = (2.0, -5.0, 4.0, -1.0)
+
+
 def _axis_slice(n: int, axis: int, index) -> tuple:
     sl = [slice(None)] * n
     sl[axis] = index
     return tuple(sl)
+
+
+def _layer(arr: np.ndarray, axis: int, side: int, depth: int) -> np.ndarray:
+    """The nodes ``depth`` layers in from the low (side 0) or high (side 1) face normal to axis."""
+    index = depth if side == 0 else arr.shape[axis] - 1 - depth
+    return arr[_axis_slice(arr.ndim, axis, index)]
+
+
+def _one_sided(values: np.ndarray, axis: int, side: int, weights: tuple) -> np.ndarray:
+    """sum_k weights[k] * (layer k from the face), summed from the face inward."""
+    total = weights[0] * _layer(values, axis, side, 0)
+    for depth in range(1, len(weights)):
+        total = total + weights[depth] * _layer(values, axis, side, depth)
+    return total
+
+
+def _gradient(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Discrete gradient, one grid-shaped array per axis: central inside, one-sided on the faces."""
+    n, m, h = grid.n, grid.m, grid.h
+    out = np.empty((n,) + grid.shape)
+    for a in range(n):
+        d = out[a]
+        d[_axis_slice(n, a, slice(1, m - 1))] = (
+            values[_axis_slice(n, a, slice(2, m))] - values[_axis_slice(n, a, slice(0, m - 2))]
+        ) / (2.0 * h[a])
+        # negation is exact, so the Robin rows recover the outward difference bit for bit
+        d[_axis_slice(n, a, 0)] = -_one_sided(values, a, 0, _OUTWARD_D1) / (2.0 * h[a])
+        d[_axis_slice(n, a, m - 1)] = _one_sided(values, a, 1, _OUTWARD_D1) / (2.0 * h[a])
+    return out
 
 
 def hessian_at(u: ScalarField, node: tuple[int, ...]) -> np.ndarray:
@@ -160,27 +196,7 @@ def hessian_at(u: ScalarField, node: tuple[int, ...]) -> np.ndarray:
     node = tuple(int(i) for i in node)
     if len(node) != grid.n or any(not 1 <= i <= grid.m - 2 for i in node):
         raise ValueError(f"node {node} is not interior to the grid")
-    v = u.values
-    h = grid.h
-    n = grid.n
-    out = np.empty((n, n))
-
-    def at(shift):
-        return v[tuple(i + s for i, s in zip(node, shift))]
-
-    zero = (0,) * n
-    for i in range(n):
-        ei = tuple(1 if a == i else 0 for a in range(n))
-        mi = tuple(-1 if a == i else 0 for a in range(n))
-        out[i, i] = (at(ei) - 2.0 * at(zero) + at(mi)) / h[i] ** 2
-        for j in range(i + 1, n):
-            def pm(si, sj):
-                return tuple(si if a == i else sj if a == j else 0 for a in range(n))
-
-            val = (at(pm(1, 1)) - at(pm(1, -1)) - at(pm(-1, 1)) + at(pm(-1, -1))) / (4.0 * h[i] * h[j])
-            out[i, j] = val
-            out[j, i] = val
-    return out
+    return _interior_hessians(u.values, grid)[tuple(i - 1 for i in node)]
 
 
 def _interior_hessians(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
@@ -208,90 +224,43 @@ def _interior_hessians(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
     return out
 
 
-def _interior_eta(values: np.ndarray, grid: BoxGrid, want_vectors: bool = False):
-    """Eigen-decomposition of trace(H) I - H at all interior nodes."""
-    hess = _interior_hessians(values, grid)
+def _interior_eta(values: np.ndarray, spec: ProblemSpec, what: str, want_vectors: bool = False):
+    """Eigen-decomposition of trace(H) I - H at all interior nodes, and its least cone margin.
+
+    Returns (eig, margin), eig being eigvalsh's result or, with want_vectors,
+    eigh's; raises ConeError at the worst interior node unless every node is
+    strictly admissible.
+    """
+    hess = _interior_hessians(values, spec.grid)
     tr = np.trace(hess, axis1=-2, axis2=-1)
-    s = tr[..., None, None] * np.eye(grid.n) - hess
-    if want_vectors:
-        return np.linalg.eigh(s)
-    return np.linalg.eigvalsh(s)
-
-
-def _margins(eta: np.ndarray, op: OperatorSpec) -> np.ndarray:
-    return sigma_all(eta, op.cone_order)[..., 1:].min(axis=-1)
-
-
-def _worst_node(margins: np.ndarray) -> tuple[tuple[int, ...], float]:
-    flat = int(np.argmin(margins))
-    node = tuple(int(i) + 1 for i in np.unravel_index(flat, margins.shape))
-    return node, float(margins.reshape(-1)[flat])
-
-
-def _value_from_eta(eta: np.ndarray, op: OperatorSpec) -> np.ndarray:
-    e = sigma_all(eta, op.cone_order)
-    if op.l is None:
-        return e[..., op.k] ** (1.0 / op.k)
-    return (e[..., op.k] / e[..., op.l]) ** (1.0 / op.degree)
-
-
-def _boundary_residual(values: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Robin residual on boundary nodes (zero on interior nodes)."""
-    grid = spec.grid
-    n, m, h = grid.n, grid.m, grid.h
-    dn = np.zeros(grid.shape)
-    for a in range(n):
-        def at(i):
-            return values[_axis_slice(n, a, i)]
-
-        dn[_axis_slice(n, a, 0)] += (3.0 * at(0) - 4.0 * at(1) + at(2)) / (2.0 * h[a])
-        dn[_axis_slice(n, a, m - 1)] += (3.0 * at(m - 1) - 4.0 * at(m - 2) + at(m - 3)) / (2.0 * h[a])
-    fc = grid.face_count()
-    mask = fc > 0
-    out = np.zeros(grid.shape)
-    out[mask] = dn[mask] / fc[mask] + spec.beta * values[mask] - spec.phi.values[mask]
-    return out
+    s = tr[..., None, None] * np.eye(spec.grid.n) - hess
+    eig = np.linalg.eigh(s) if want_vectors else np.linalg.eigvalsh(s)
+    eta = eig[0] if want_vectors else eig
+    return eig, _require_admissible(sigma_all(eta, spec.op.cone_order), what, origin=1)
 
 
 def residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """Equation residual at every node; raises ConeError on any inadmissible node."""
-    eta = _interior_eta(u.values, spec.grid)
-    margins = _margins(eta, spec.op)
-    if margins.min() <= 0.0:
-        node, worst = _worst_node(margins)
-        raise ConeError(
-            f"inadmissible iterate at interior node {node} (cone margin {worst:.6g})",
-            node=node,
-            value=worst,
-        )
+    eta, _ = _interior_eta(u.values, spec, "iterate")
     return ScalarField(spec.grid, _residual_values(u.values, eta, spec))
 
 
 def _residual_values(values: np.ndarray, eta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    out = _boundary_residual(values, spec)
-    psi_t = spec.psi_tilde()
-    core = spec.grid.interior()
-    out[core] = _value_from_eta(eta, spec.op) - psi_t[core]
+    grid = spec.grid
+    out = _robin_data(grid, spec.beta, values, _gradient(values, grid)) - spec.phi.values
+    core = grid.interior()
+    out[core] = value_at_eta(eta, spec.op) - spec.psi_tilde()[core]
     return out
 
 
 def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
     """Sparse derivative of the residual with respect to every nodal value."""
-    grid = spec.grid
-    eta, q = _interior_eta(u.values, grid, want_vectors=True)
-    margins = _margins(eta, spec.op)
-    if margins.min() <= 0.0:
-        node, worst = _worst_node(margins)
-        raise ConeError(
-            f"inadmissible iterate at interior node {node} (cone margin {worst:.6g})",
-            node=node,
-            value=worst,
-        )
+    (eta, q), _ = _interior_eta(u.values, spec, "iterate", want_vectors=True)
     g = grad_at_eta(eta, spec.op)
     a = np.einsum("...ij,...j,...kj->...ik", q, g, q)
     tr = np.trace(a, axis1=-2, axis2=-1)
-    fw = tr[..., None, None] * np.eye(grid.n) - a  # dF/dr at each interior node
-    return _assemble(grid, spec.beta, fw)
+    fw = tr[..., None, None] * np.eye(spec.grid.n) - a  # dF/dr at each interior node
+    return _assemble(spec.grid, spec.beta, fw)
 
 
 def laplace_robin(grid: BoxGrid, beta: float) -> sp.csr_matrix:
@@ -338,18 +307,11 @@ def _assemble(grid: BoxGrid, beta: float, fw: np.ndarray) -> sp.csr_matrix:
 
     fc = grid.face_count()
     for axis in range(n):
-        sl = [slice(None)] * n
         for side in (0, 1):
-            sl[axis] = 0 if side == 0 else m - 1
-            face = flat[tuple(sl)].ravel()
-            w = 1.0 / fc[tuple(sl)].ravel()
-            sl[axis] = 1 if side == 0 else m - 2
-            in1 = flat[tuple(sl)].ravel()
-            sl[axis] = 2 if side == 0 else m - 3
-            in2 = flat[tuple(sl)].ravel()
-            add(face, face, 3.0 / (2.0 * h[axis]) * w)
-            add(face, in1, -4.0 / (2.0 * h[axis]) * w)
-            add(face, in2, 1.0 / (2.0 * h[axis]) * w)
+            face = _layer(flat, axis, side, 0).ravel()
+            w = 1.0 / _layer(fc, axis, side, 0).ravel()
+            for depth, c in enumerate(_OUTWARD_D1):
+                add(face, _layer(flat, axis, side, depth).ravel(), c / (2.0 * h[axis]) * w)
     bidx = flat[grid.boundary_mask()]
     add(bidx, bidx, np.full(bidx.shape, beta))
 
@@ -448,16 +410,7 @@ def newton_solve(
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
 
     u = u0.values.copy()
-    eta = _interior_eta(u, grid)
-    margins = _margins(eta, spec.op)
-    mmin = float(margins.min())
-    if mmin <= 0.0:
-        node, worst = _worst_node(margins)
-        raise ConeError(
-            f"initial guess inadmissible at interior node {node} (cone margin {worst:.6g})",
-            node=node,
-            value=worst,
-        )
+    eta, mmin = _interior_eta(u, spec, "initial guess")
     res = _residual_values(u, eta, spec)
     rnorm = float(np.abs(res).max())
 
@@ -473,10 +426,11 @@ def newton_solve(
         accepted = False
         while alpha >= opts.min_step:
             trial = u + alpha * delta
-            eta_t = _interior_eta(trial, grid)
-            margins_t = _margins(eta_t, spec.op)
-            mmin_t = float(margins_t.min())
-            if mmin_t > 0.0:
+            try:
+                eta_t, mmin_t = _interior_eta(trial, spec, "trial iterate")
+            except ConeError:
+                pass  # the step left the cone
+            else:
                 res_t = _residual_values(trial, eta_t, spec)
                 rnorm_t = float(np.abs(res_t).max())
                 if rnorm_t <= (1.0 - opts.armijo * alpha) * rnorm:
@@ -589,30 +543,15 @@ def diagnostics(u: ScalarField) -> Diagnostics:
     """Discrete gradient/Hessian/boundary suprema of a grid field."""
     grid = u.grid
     values = u.values
-    n, m, h = grid.n, grid.m, grid.h
-
-    grad_sq = np.zeros(grid.shape)
-    for a in range(n):
-        def at(i):
-            return values[_axis_slice(n, a, i)]
-
-        d = np.empty(grid.shape)
-        d[_axis_slice(n, a, slice(1, m - 1))] = (at(slice(2, m)) - at(slice(0, m - 2))) / (2.0 * h[a])
-        d[_axis_slice(n, a, 0)] = (-3.0 * at(0) + 4.0 * at(1) - at(2)) / (2.0 * h[a])
-        d[_axis_slice(n, a, m - 1)] = (3.0 * at(m - 1) - 4.0 * at(m - 2) + at(m - 3)) / (2.0 * h[a])
-        grad_sq += d * d
-    sup_gradient = float(np.sqrt(grad_sq).max())
+    sup_gradient = float(np.sqrt(sum(d * d for d in _gradient(values, grid))).max())
 
     hess = _interior_hessians(values, grid)
     sup_hessian_eig = float(np.linalg.eigvalsh(hess)[..., -1].max())
 
-    sup_normal_second = 0.0
-    for a in range(n):
-        def at(i):
-            return values[_axis_slice(n, a, i)]
-
-        lo = (2.0 * at(0) - 5.0 * at(1) + 4.0 * at(2) - at(3)) / h[a] ** 2
-        hi = (2.0 * at(m - 1) - 5.0 * at(m - 2) + 4.0 * at(m - 3) - at(m - 4)) / h[a] ** 2
-        sup_normal_second = max(sup_normal_second, float(np.abs(lo).max()), float(np.abs(hi).max()))
+    sup_normal_second = max(
+        float(np.abs(_one_sided(values, a, side, _NORMAL_D2) / grid.h[a] ** 2).max())
+        for a in range(grid.n)
+        for side in (0, 1)
+    )
 
     return Diagnostics(sup_gradient, sup_hessian_eig, sup_normal_second)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hessneumann
 from hessneumann.cli import main
@@ -49,6 +51,19 @@ class TestVerifyLemmas:
 
     def test_bad_n_max(self, tmp_path):
         assert main(["verify-lemmas", "--n-max", "9", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "1e300"])
+    def test_bad_scale(self, tmp_path, capsys, scale):
+        args = ["verify-lemmas", "--n-max", "2", "--samples", "10", "--scale", scale, "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_outside_cone_exits_1(self, tmp_path, capsys):
+        # at the smallest subnormal scale a sample's sigma_1 underflows to 0
+        args = ["verify-lemmas", "--n-max", "2", "--samples", "20", "--scale", "5e-324", "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "left the cone" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -97,6 +112,16 @@ class TestSolve:
         assert code == 1
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False and report["continuation"]
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"), ("--max-iter", "0"), ("--max-iter", "-2")],
+    )
+    def test_bad_numeric_option_exits_2(self, tmp_path, capsys, flag, value):
+        prob = write_problem(tmp_path, small_paraboloid_doc())
+        assert main(["solve", "--problem", str(prob), "--out", str(tmp_path / "out"), flag, value]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key,value",
@@ -148,9 +173,10 @@ class TestMmsStudy:
     def test_unknown_case(self, tmp_path):
         assert main(["mms-study", "--case", "nope", "--out", str(tmp_path)]) == 2
 
-    def test_bad_grids(self, tmp_path):
-        assert main(["mms-study", "--case", "paraboloid", "--grids", "9", "--out", str(tmp_path)]) == 2
-        assert main(["mms-study", "--case", "paraboloid", "--grids", "a,b", "--out", str(tmp_path)]) == 2
+    def test_bad_grids(self, tmp_path, capsys):
+        for grids in ("9", "a,b", "9,9", "8,9", "9,17,9", "7,9"):
+            assert main(["mms-study", "--case", "paraboloid", "--grids", grids, "--out", str(tmp_path)]) == 2
+            assert "error:" in capsys.readouterr().err
 
 
 class TestSampleCone:
@@ -177,6 +203,62 @@ class TestSampleCone:
 
     def test_bad_cone_index(self):
         assert main(["sample-cone", "--n", "3", "--k", "5", "--count", "5"]) == 2
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-2"])
+    def test_bad_scale(self, capsys, scale):
+        assert main(["sample-cone", "--n", "3", "--k", "2", "--count", "5", "--scale", scale]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+_BAD_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "abc", ""]
+
+
+def _text(numbers):
+    """Command-line spellings of drawn numbers; one draw in four is not finite, not positive or not a number."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(_BAD_NUMBERS) if i == 0 else numbers.map(str))
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_SCALES = _text(st.one_of(st.floats(1e-6, 1e6), _ANY_FLOAT))
+_FUZZ_ARGV = st.one_of(
+    st.tuples(
+        st.just("verify-lemmas"),
+        st.just("--n-max"), _text(st.integers(2, 3)),
+        st.just("--samples"), _text(st.integers(1, 50)),
+        st.just("--scale"), _SCALES,
+    ),
+    st.tuples(
+        st.just("sample-cone"),
+        st.just("--n"), st.integers(2, 4).map(str),
+        st.just("--k"), st.integers(1, 5).map(str),
+        st.just("--count"), _text(st.integers(1, 50)),
+        st.just("--scale"), _SCALES,
+    ),
+    st.tuples(
+        st.just("mms-study"),
+        st.just("--case"), st.just("perturbed-paraboloid-2d"),
+        st.just("--grids"),
+        st.lists(st.sampled_from([8, 9, 11]), min_size=1, max_size=3).map(lambda ms: ",".join(map(str, ms))),
+    ),
+    st.tuples(
+        st.just("solve"),
+        st.just("--tol"), _text(st.one_of(st.floats(0.0, 1e-6), _ANY_FLOAT)),
+        st.just("--max-iter"), _text(st.integers(1, 5)),
+    ),
+)
+
+
+class TestExitCodeContract:
+    @given(argv=_FUZZ_ARGV)
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_options_exit_0_1_or_2(self, tmp_path_factory, argv):
+        """Any drawn option values end in exit 0, 1 or 2, never in an escaped exception."""
+        root = tmp_path_factory.getbasetemp() / "exit-code-contract"
+        root.mkdir(exist_ok=True)
+        argv = list(argv) + ["--out", str(root / ("out.csv" if argv[0] == "sample-cone" else "out"))]
+        if argv[0] == "solve":
+            argv += ["--problem", str(write_problem(root, small_paraboloid_doc()))]
+        assert main(argv) in (0, 1, 2)
 
 
 class TestParser:

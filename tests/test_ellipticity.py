@@ -58,6 +58,11 @@ class TestSampler:
         assert in_gamma(eta, 2).all()
         assert np.abs(eta).max() > 20.0
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, 1e300])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError):
+            ConeSampler(3, 2, seed=1, scale=scale)
+
     def test_coverage_near_boundary_and_interior(self):
         eta = ConeSampler(3, 2, seed=7).draw_batch(10000)
         margins = cone_margin(eta, 2)
@@ -183,3 +188,8 @@ class TestSweepReports:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             sweep_trace_bound(3, 2, samples=0, seed=1, workers=1)
+
+    @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf, 1e300])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError):
+            sweep_trace_bound(3, 2, samples=10, seed=1, scale=scale, workers=1)
