@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import fieldio
-from .ellipticity import _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_sweep
+from .ellipticity import _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_plan, worker_count
+from .ellipticity import run_sweep  # noqa: F401  (unused here; bench/tracing.py patches this binding)
 from .problem import ProblemFormatError, build_case, load_problem
 from .solver import NewtonOptions, NonconvergenceError, continuation_solve, newton_solve
 from .symfun import ConeError
@@ -85,15 +87,19 @@ def _cmd_verify_lemmas(args) -> int:
     if not 2 <= args.n_max <= 6:
         print("error: --n-max must be in [2, 6]", file=sys.stderr)
         return 2
+    try:
+        workers = worker_count()
+    except ValueError:
+        print(f"error: HN_THREADS must be an integer (got {os.environ['HN_THREADS']!r})", file=sys.stderr)
+        return 2
     args.out.mkdir(parents=True, exist_ok=True)
-    reports: list[SweepReport] = []
-    for family, n, k, l in default_sweep_plan(args.n_max):
-        try:
-            rep = run_sweep(family, n, k, l, samples=args.samples, seed=args.seed, scale=args.scale)
-        except ConeError as exc:
-            print(f"error: {family} n={n} k={k} l={l}: a sample left the cone: {exc}", file=sys.stderr)
-            return 1
-        reports.append(rep)
+    plan = default_sweep_plan(args.n_max)
+    try:
+        reports = run_plan(plan, samples=args.samples, seed=args.seed, scale=args.scale, workers=workers)
+    except ConeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    for (family, n, k, l), rep in zip(plan, reports):
         tag = f"{family}_n{n}_k{k}" + (f"_l{l}" if l is not None else "")
         (args.out / f"{tag}.json").write_text(rep.to_json() + "\n", encoding="utf-8")
         status = "ok" if rep.violations == 0 else f"{rep.violations} VIOLATIONS"

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operator import OperatorSpec, f_grad, lambda_from_eta
-from .symfun import _as_values, _require_in_gamma, sigma_all, sigma_grad
+from .symfun import ConeError, _as_values, _require_in_gamma, sigma_all, sigma_grad
 
 __all__ = [
     "ConeSampler",
@@ -48,13 +48,15 @@ __all__ = [
     "sweep_maclaurin_ratio",
     "sweep_trace_bound",
     "default_sweep_plan",
+    "run_plan",
+    "run_sweep",
 ]
 
 _BLOCK = 4096  # samples per derived generator; fixed so chunking never changes the stream
 _BISECT_TOL = 1e-10
 # The shift t grows like scale / 10 at k = 6.  From a scale of a few million
-# on, float64 cannot resolve the bisection's absolute tolerance at t, and the
-# bisection never ends.  1e6 runs clean with 100000 samples at n <= 6.
+# on, float64 cannot resolve the bisection's absolute tolerance at t, so larger
+# scales are refused.  1e6 runs clean with 100000 samples at n <= 6.
 _MAX_SCALE = 1e6
 
 
@@ -91,8 +93,9 @@ def _block_normals(seed: int, n: int, start: int, count: int) -> np.ndarray:
 def _shift_into_cone(g: np.ndarray, k: int, scale: float) -> np.ndarray:
     """Smallest t >= 0 with all sigma_i(g + t*ones) > 1e-6 * scale**i, per row.
 
-    Bisection to absolute tolerance 1e-10 on the predicate-true endpoint; each
-    row's trajectory is independent of the batch it is evaluated in.
+    Bisection to absolute tolerance 1e-10 on the predicate-true endpoint, or
+    until float64 cannot halve the bracket any more; each row's trajectory is
+    independent of the batch it is evaluated in.
     """
     n = g.shape[-1]
     delta = 1e-6 * scale ** np.arange(1, k + 1)
@@ -114,6 +117,8 @@ def _shift_into_cone(g: np.ndarray, k: int, scale: float) -> np.ndarray:
     active = ~done
     while active.any():
         mid = 0.5 * (lo + hi)
+        # once float64 cannot split [lo, hi], mid lands on an endpoint and the row is done
+        active = active & (mid != lo) & (mid != hi)
         ok = pred(mid)
         hi = np.where(active & ok, mid, hi)
         lo = np.where(active & ~ok, mid, lo)
@@ -123,6 +128,7 @@ def _shift_into_cone(g: np.ndarray, k: int, scale: float) -> np.ndarray:
 
 def sample_block(n: int, k: int, seed: int, scale: float, start: int, count: int) -> np.ndarray:
     """Samples [start, start+count) of the deterministic cone stream, shape (count, n)."""
+    _require_scale(scale)
     g = _block_normals(seed, n, start, count)
     t = _shift_into_cone(g, k, scale)
     return scale * (g + t[:, None])
@@ -245,8 +251,9 @@ class SweepReport:
     ``min_ratio`` is the smallest signed slack of the inequality seen over the
     sweep and ``argmin`` the sample attaining it; ``violations`` counts samples
     whose slack falls below -tolerance (1e-12, except 1e-10 for the trace
-    bound).  ``wall_time`` is informational and excluded from determinism
-    guarantees and from the CSV row.
+    bound).  ``wall_time`` is the sweep's own evaluation time plus an equal
+    share of the draws of the stream it shares with other sweeps of its plan;
+    it is informational and excluded from determinism guarantees and the CSV row.
     """
 
     label: str
@@ -290,29 +297,109 @@ class SweepReport:
         )
 
 
-def _run_sweep(label, n, k, l, samples, seed, scale, workers, chunk_fn, tol):
-    """Shared chunked driver: map chunk_fn over sample ranges, reduce in order."""
+def _deleted_term_share_slack(eta, n, k, l):
+    ratio = deleted_term_share(eta, k)
+    return ratio, eta, int((ratio < -1e-12).sum()), {}
+
+
+def _ellipticity_ratio_slack(eta, n, k, l):
+    spec = OperatorSpec(n, k, l)
+    lam = lambda_from_eta(eta)
+    fg = f_grad(lam, spec)
+    ratio = fg.min(axis=-1) / fg.sum(axis=-1)
+    ratio10 = ellipticity_ratio(10.0 * lam, spec)
+    pos_bad = int((fg.min(axis=-1) <= 0.0).sum())
+    scale_bad = int((np.abs(ratio - ratio10) > 1e-12).sum())
+    return ratio, lam, pos_bad + scale_bad, {"positivity_violations": pos_bad, "scale_violations": scale_bad}
+
+
+def _maclaurin_ratio_slack(eta, n, k, l):
+    alpha = maclaurin_ratio(eta, k, l)
+    slack = np.minimum(alpha, maclaurin_bound(n, k, l) - alpha).min(axis=-1)
+    return slack, eta, int((slack < -1e-12).sum()), {"max_alpha": float(alpha.max())}
+
+
+def _trace_bound_slack(eta, n, k, l):
+    lam = lambda_from_eta(eta)
+    slack = f_grad(lam, OperatorSpec(n, k)).sum(axis=-1) - trace_lower_bound(n, k)
+    return slack, lam, int((slack < -1e-10).sum()), {}
+
+
+# family -> (slack evaluator on one chunk of eta, cone order - k, tolerance, bound(n, k, l) kept in extra)
+_FAMILIES = {
+    "deleted-term-share": (_deleted_term_share_slack, 0, 1e-12, None),
+    "ellipticity-ratio": (_ellipticity_ratio_slack, 0, 1e-12, None),
+    "ellipticity-ratio-quotient": (_ellipticity_ratio_slack, 1, 1e-12, None),
+    "maclaurin-ratio": (_maclaurin_ratio_slack, 1, 1e-12, maclaurin_bound),
+    "trace-bound": (_trace_bound_slack, 0, 1e-10, lambda n, k, l: trace_lower_bound(n, k)),
+}
+
+
+def run_plan(plan, *, samples, seed, scale=1.0, workers=None) -> list[SweepReport]:
+    """Run planned (family, n, k, l) sweeps; the reports come back in plan order.
+
+    Sweeps that sample the same (n, cone order) stream form one group.  Each
+    chunk of that stream is drawn once, by one task that evaluates every sweep
+    of the group on it; all tasks share one thread pool.  Each sweep's chunk
+    results are then reduced in chunk order, so a report does not depend on
+    the plan it ran in or on the worker count.
+    """
     if samples <= 0:
         raise ValueError("empty sweep: samples must be positive")
-    _require_scale(scale)
-    t0 = time.perf_counter()
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (family, n, k, l) in enumerate(plan):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown sweep family: {family}")
+        groups.setdefault((n, k + _FAMILIES[family][1]), []).append(i)
     ranges = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]
-    nw = worker_count(workers)
-    if nw > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as ex:
-            results = list(ex.map(lambda p: chunk_fn(*p), ranges))
-    else:
-        results = [chunk_fn(*p) for p in ranges]
+    tasks = [(key, members, start, count) for key, members in groups.items() for start, count in ranges]
 
-    min_ratio = math.inf
-    argmin = None
-    violations = 0
-    extra: dict = {}
-    for slack, arg, viol, ex_chunk in results:
+    def task(key, members, start, count):
+        t0 = time.perf_counter()
+        eta = sample_block(key[0], key[1], seed, scale, start, count)
+        draw_share = (time.perf_counter() - t0) / len(members)
+        out = []
+        for i in members:
+            family, n, k, l = plan[i]
+            t0 = time.perf_counter()
+            try:
+                slack, rows, viol, extra = _FAMILIES[family][0](eta, n, k, l)
+            except ConeError as exc:
+                out.append(exc)
+                continue
+            j = int(np.argmin(slack))
+            # floats, not a view: rows[j] would keep the whole chunk alive
+            dt = draw_share + time.perf_counter() - t0
+            out.append((float(slack[j]), [float(x) for x in rows[j]], viol, extra, dt))
+        return out
+
+    nw = min(worker_count(workers), len(tasks))
+    if nw > 1:
+        with ThreadPoolExecutor(max_workers=nw) as ex:
+            done = list(ex.map(lambda t: task(*t), tasks))
+    else:
+        done = [task(*t) for t in tasks]
+    chunks: list[list] = [[] for _ in plan]
+    for (_, members, _, _), results in zip(tasks, done):
+        for i, result in zip(members, results):
+            chunks[i].append(result)
+    return [_reduce(entry, results, samples, seed, scale) for entry, results in zip(plan, chunks)]
+
+
+def _reduce(entry, results, samples, seed, scale) -> SweepReport:
+    """One sweep's report from its chunk results, taken in chunk order."""
+    family, n, k, l = entry
+    _, _, tol, bound = _FAMILIES[family]
+    min_ratio, argmin, violations, wall_time, extra = math.inf, None, 0, 0.0, {}
+    for result in results:
+        if isinstance(result, ConeError):
+            message = f"{family} n={n} k={k} l={l}: a sample left the cone: {result}"
+            raise ConeError(message, order=result.order, value=result.value) from result
+        slack, arg, viol, ex_chunk, dt = result
         violations += viol
+        wall_time += dt
         if slack < min_ratio:
-            min_ratio = slack
-            argmin = arg
+            min_ratio, argmin = slack, arg
         for key, val in ex_chunk.items():
             if key.startswith("max_"):
                 extra[key] = max(extra.get(key, -math.inf), val)
@@ -321,32 +408,14 @@ def _run_sweep(label, n, k, l, samples, seed, scale, workers, chunk_fn, tol):
             else:
                 extra[key] = extra.get(key, 0) + val
     extra["tolerance"] = tol
-    return SweepReport(
-        label=label,
-        n=n,
-        k=k,
-        l=l,
-        samples=samples,
-        seed=seed,
-        scale=scale,
-        min_ratio=float(min_ratio),
-        argmin=[float(x) for x in argmin],
-        violations=int(violations),
-        wall_time=time.perf_counter() - t0,
-        extra=extra,
-    )
+    if bound is not None:
+        extra["bound"] = bound(n, k, l)
+    return SweepReport(family, n, k, l, samples, seed, scale, float(min_ratio), argmin, violations, wall_time, extra)
 
 
 def sweep_deleted_term_share(n, k, samples, seed, scale=1.0, workers=None) -> SweepReport:
     """Positivity sweep of deleted_term_share over order-k cone samples."""
-
-    def chunk(start, count):
-        eta = sample_block(n, k, seed, scale, start, count)
-        ratio = deleted_term_share(eta, k)
-        i = int(np.argmin(ratio))
-        return float(ratio[i]), eta[i], int((ratio < -1e-12).sum()), {}
-
-    return _run_sweep("deleted-term-share", n, k, None, samples, seed, scale, workers, chunk, 1e-12)
+    return run_sweep("deleted-term-share", n, k, None, samples=samples, seed=seed, scale=scale, workers=workers)
 
 
 def sweep_ellipticity_ratio(n, k, l=None, *, samples, seed, scale=1.0, workers=None) -> SweepReport:
@@ -355,57 +424,18 @@ def sweep_ellipticity_ratio(n, k, l=None, *, samples, seed, scale=1.0, workers=N
     Samples are drawn in the order-k cone (pure) or order-(k+1) cone
     (quotient) and mapped back through the inverse transform.
     """
-    spec = OperatorSpec(n, k, l)
-
-    def chunk(start, count):
-        eta = sample_block(n, spec.cone_order, seed, scale, start, count)
-        lam = lambda_from_eta(eta)
-        fg = f_grad(lam, spec)
-        ratio = fg.min(axis=-1) / fg.sum(axis=-1)
-        ratio10 = ellipticity_ratio(10.0 * lam, spec)
-        pos_bad = int((fg.min(axis=-1) <= 0.0).sum())
-        scale_bad = int((np.abs(ratio - ratio10) > 1e-12).sum())
-        i = int(np.argmin(ratio))
-        extra = {"positivity_violations": pos_bad, "scale_violations": scale_bad}
-        return float(ratio[i]), lam[i], pos_bad + scale_bad, extra
-
-    label = "ellipticity-ratio" if l is None else "ellipticity-ratio-quotient"
-    return _run_sweep(label, n, k, l, samples, seed, scale, workers, chunk, 1e-12)
+    family = "ellipticity-ratio" if l is None else "ellipticity-ratio-quotient"
+    return run_sweep(family, n, k, l, samples=samples, seed=seed, scale=scale, workers=workers)
 
 
 def sweep_maclaurin_ratio(n, k, l, *, samples, seed, scale=1.0, workers=None) -> SweepReport:
     """Two-sided bound sweep of maclaurin_ratio over order-(k+1) cone samples."""
-    bound = maclaurin_bound(n, k, l)
-
-    def chunk(start, count):
-        eta = sample_block(n, k + 1, seed, scale, start, count)
-        alpha = maclaurin_ratio(eta, k, l)
-        slack = np.minimum(alpha, bound - alpha).min(axis=-1)
-        viol = int((slack < -1e-12).sum())
-        i = int(np.argmin(slack))
-        return float(slack[i]), eta[i], viol, {"max_alpha": float(alpha.max())}
-
-    rep = _run_sweep("maclaurin-ratio", n, k, l, samples, seed, scale, workers, chunk, 1e-12)
-    rep.extra["bound"] = bound
-    return rep
+    return run_sweep("maclaurin-ratio", n, k, l, samples=samples, seed=seed, scale=scale, workers=workers)
 
 
 def sweep_trace_bound(n, k, *, samples, seed, scale=1.0, workers=None) -> SweepReport:
     """Sweep of sum_i f_i against its explicit lower bound (pure operator)."""
-    spec = OperatorSpec(n, k)
-    bound = trace_lower_bound(n, k)
-
-    def chunk(start, count):
-        eta = sample_block(n, k, seed, scale, start, count)
-        lam = lambda_from_eta(eta)
-        slack = f_grad(lam, spec).sum(axis=-1) - bound
-        viol = int((slack < -1e-10).sum())
-        i = int(np.argmin(slack))
-        return float(slack[i]), lam[i], viol, {}
-
-    rep = _run_sweep("trace-bound", n, k, None, samples, seed, scale, workers, chunk, 1e-10)
-    rep.extra["bound"] = bound
-    return rep
+    return run_sweep("trace-bound", n, k, None, samples=samples, seed=seed, scale=scale, workers=workers)
 
 
 def default_sweep_plan(n_max: int):
@@ -427,15 +457,5 @@ def default_sweep_plan(n_max: int):
 
 
 def run_sweep(family: str, n: int, k: int, l: int | None, *, samples, seed, scale=1.0, workers=None) -> SweepReport:
-    """Dispatch one planned sweep by family name."""
-    if family == "deleted-term-share":
-        return sweep_deleted_term_share(n, k, samples, seed, scale, workers)
-    if family == "ellipticity-ratio":
-        return sweep_ellipticity_ratio(n, k, None, samples=samples, seed=seed, scale=scale, workers=workers)
-    if family == "ellipticity-ratio-quotient":
-        return sweep_ellipticity_ratio(n, k, l, samples=samples, seed=seed, scale=scale, workers=workers)
-    if family == "maclaurin-ratio":
-        return sweep_maclaurin_ratio(n, k, l, samples=samples, seed=seed, scale=scale, workers=workers)
-    if family == "trace-bound":
-        return sweep_trace_bound(n, k, samples=samples, seed=seed, scale=scale, workers=workers)
-    raise ValueError(f"unknown sweep family: {family}")
+    """One planned sweep by family name, run as a one-item plan."""
+    return run_plan([(family, n, k, l)], samples=samples, seed=seed, scale=scale, workers=workers)[0]

@@ -230,7 +230,8 @@ class ProblemFormatError(ValueError):
 
 def _integer(doc: dict, key: str) -> int:
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+    # ints are not passed through float(), which overflows above 1.8e308
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ProblemFormatError(f"'{key}' must be an integer (got {value!r})")
     return int(value)
 
@@ -298,7 +299,7 @@ def load_problem(path) -> ProblemSpec:
         raise ProblemFormatError("'box' must be an object with 'lo', 'hi' and 'm'")
     try:
         grid = BoxGrid(tuple(box["lo"]), tuple(box["hi"]), _integer(box, "m"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ProblemFormatError(f"invalid box: {exc}") from exc
     n = _integer(doc, "n")
     if grid.n != n:
@@ -313,5 +314,5 @@ def load_problem(path) -> ProblemSpec:
     schedule = doc.get("schedule")
     try:
         return ProblemSpec(grid, op, float(doc["beta"]), psi, phi, schedule)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ProblemFormatError(str(exc)) from exc

@@ -63,7 +63,25 @@ class TestVerifyLemmas:
         # at the smallest subnormal scale a sample's sigma_1 underflows to 0
         args = ["verify-lemmas", "--n-max", "2", "--samples", "20", "--scale", "5e-324", "--out", str(tmp_path)]
         assert main(args) == 1
-        assert "left the cone" in capsys.readouterr().err
+        assert "error: deleted-term-share n=2 k=1 l=None: a sample left the cone" in capsys.readouterr().err
+
+    def test_cone_error_names_the_offending_sweep(self, tmp_path, capsys, monkeypatch):
+        from hessneumann import ellipticity
+        from hessneumann.symfun import ConeError
+
+        def outside(eta, k, l):
+            raise ConeError("maclaurin_ratio: sigma_3 = -1 <= 0", order=3, value=-1.0)
+
+        monkeypatch.setattr(ellipticity, "maclaurin_ratio", outside)
+        assert main(["verify-lemmas", "--n-max", "3", "--samples", "50", "--out", str(tmp_path)]) == 1
+        assert "error: maclaurin-ratio n=3 k=2 l=1: a sample left the cone" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["abc", "2.5", "1e3"])
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("HN_THREADS", threads)
+        assert main(["verify-lemmas", "--n-max", "2", "--samples", "10", "--out", str(tmp_path / "out")]) == 2
+        assert f"error: HN_THREADS must be an integer (got {threads!r})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSolve:

@@ -4,12 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from hessneumann import ellipticity
 from hessneumann.ellipticity import (
     ConeSampler,
+    _shift_into_cone,
+    default_sweep_plan,
     deleted_term_share,
     ellipticity_ratio,
     maclaurin_bound,
     maclaurin_ratio,
+    run_plan,
+    run_sweep,
     sample_block,
     sample_eta,
     sweep_deleted_term_share,
@@ -62,6 +67,17 @@ class TestSampler:
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ValueError):
             ConeSampler(3, 2, seed=1, scale=scale)
+
+    def test_sample_block_rejects_bad_scale(self):
+        with pytest.raises(ValueError):
+            sample_block(3, 2, seed=1, scale=1e8, start=0, count=5)
+
+    def test_shift_ends_where_float64_cannot_resolve_the_tolerance(self):
+        # at this scale the shift is about 1e7, where one ulp exceeds the bisection tolerance
+        g = np.random.default_rng(3).standard_normal((4, 6))
+        t = _shift_into_cone(g, 6, 1e8)
+        assert np.isfinite(t).all() and (t > 1e6).all()
+        assert in_gamma(g + t[:, None], 6).all()
 
     def test_coverage_near_boundary_and_interior(self):
         eta = ConeSampler(3, 2, seed=7).draw_batch(10000)
@@ -193,3 +209,60 @@ class TestSweepReports:
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ValueError):
             sweep_trace_bound(3, 2, samples=10, seed=1, scale=scale, workers=1)
+
+
+def _json_without_wall_time(rep):
+    doc = json.loads(rep.to_json())
+    doc.pop("wall_time")
+    return doc
+
+
+class TestRunPlan:
+    # every family, with pure and quotient sweeps sharing the (4, 3) stream
+    PLAN = [entry for entry in default_sweep_plan(4) if entry[1] == 4 and entry[2] >= 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_reports_as_single_sweeps(self, monkeypatch, workers):
+        assert {family for family, *_ in self.PLAN} == set(ellipticity._FAMILIES)
+        monkeypatch.setattr(ellipticity, "_CHUNK", 700)  # 1900 samples: chunks of 700, 700 and 500
+        reports = run_plan(self.PLAN, samples=1900, seed=37, workers=workers)
+        assert len(reports) == len(self.PLAN)
+        for (family, n, k, l), rep in zip(self.PLAN, reports):
+            alone = run_sweep(family, n, k, l, samples=1900, seed=37, workers=workers)
+            assert (rep.label, rep.n, rep.k, rep.l) == (family, n, k, l)
+            assert rep.csv_row() == alone.csv_row()
+            assert _json_without_wall_time(rep) == _json_without_wall_time(alone)
+            assert rep.wall_time > 0
+
+    def test_one_draw_per_stream_chunk(self, monkeypatch):
+        monkeypatch.setattr(ellipticity, "_CHUNK", 700)
+        calls = []
+        real = ellipticity.sample_block
+
+        def counting(n, c, seed, scale, start, count):
+            calls.append((n, c, start, count))
+            return real(n, c, seed, scale, start, count)
+
+        monkeypatch.setattr(ellipticity, "sample_block", counting)
+        run_plan(self.PLAN, samples=1900, seed=37, workers=2)
+        streams = {(4, 2), (4, 3), (4, 4)}
+        chunks = [(0, 700), (700, 700), (1400, 500)]
+        assert sorted(calls) == sorted((n, c, s, m) for n, c in streams for s, m in chunks)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cone_error_names_the_first_failing_sweep(self, monkeypatch, workers):
+        real = ellipticity.maclaurin_ratio
+
+        def outside_at_n4(eta, k, l):
+            if eta.shape[-1] == 4:
+                raise ConeError("maclaurin_ratio: sigma_3 = -1 <= 0", order=3, value=-1.0)
+            return real(eta, k, l)
+
+        monkeypatch.setattr(ellipticity, "maclaurin_ratio", outside_at_n4)
+        with pytest.raises(ConeError, match="maclaurin-ratio n=4 k=2 l=1: a sample left the cone") as info:
+            run_plan(default_sweep_plan(4), samples=100, seed=1, workers=workers)
+        assert info.value.order == 3
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown sweep family"):
+            run_plan([("nope", 3, 2, None)], samples=10, seed=1)

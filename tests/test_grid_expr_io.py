@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessneumann.expr import ExpressionError, compile_expression
 from hessneumann.fieldio import FIELD_MAGIC, read_field_binary, write_field_binary, write_solution_csv
@@ -207,6 +210,8 @@ class TestProblemFiles:
             (lambda d: d.update(k=5), "k"),
             (lambda d: d.pop("box"), "box"),
             (lambda d: d.update(psi={"kind": "grid", "values": [1.0] * 3}), "81"),
+            (lambda d: d.update(l=10**400), "l="),
+            (lambda d: d.update(beta=10**400), "too large"),
         ],
     )
     def test_validation_messages(self, tmp_path, mutate, needle):
@@ -215,6 +220,78 @@ class TestProblemFiles:
         with pytest.raises(ProblemFormatError) as info:
             load_problem(_write_problem(tmp_path, doc))
         assert needle in str(info.value)
+
+
+_JSON_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_EXPRESSIONS = st.one_of(
+    st.sampled_from(["x1 + x2", "1/(x1-x1)", "x1^0.5 - 1", "exp(exp(exp(100*x1)))", "9^9^9^9", "x3", "sin("]),
+    st.text(alphabet="x123 +-*/^().e9sincoexpab", max_size=24),
+)
+_GRID_VALUES = st.one_of(st.lists(st.floats(0, 10), min_size=81, max_size=81), _JSON)
+_FIELDS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": _JSON_LEAF}),
+    st.fixed_dictionaries({"kind": st.just("expression"), "expr": st.one_of(_EXPRESSIONS, _JSON_LEAF)}),
+    st.fixed_dictionaries({"kind": st.just("grid"), "values": _GRID_VALUES}),
+    _JSON,
+)
+# m is drawn from a bounded set: a large odd m is a valid grid whose fields would fill the memory
+_M_VALUES = st.sampled_from([9, 11, 9.0, 9.5, 8, -9, 0, 10**400, 1e300, math.inf, math.nan, "9", None, True, [9], {}])
+_MISSING = object()
+
+
+def _strip_missing(doc):
+    if isinstance(doc, dict):
+        return {key: _strip_missing(val) for key, val in doc.items() if val is not _MISSING}
+    return doc
+
+
+def _drawn(valid, other):
+    """The valid value (six draws in ten), a drawn replacement (three) or a missing key (one)."""
+    return st.integers(0, 9).flatmap(lambda i: st.just(_MISSING) if i == 0 else other if i <= 3 else st.just(valid))
+
+
+_PROBLEM_DOCS = st.fixed_dictionaries(
+    {
+        "n": _drawn(2, _JSON_LEAF),
+        "k": _drawn(1, _JSON_LEAF),
+        "l": _drawn(None, _JSON_LEAF),
+        "beta": _drawn(1.0, _JSON_LEAF),
+        "box": _drawn(
+            {"lo": [0, 0], "hi": [1, 1], "m": 9},
+            st.fixed_dictionaries({"lo": _drawn([0, 0], _JSON), "hi": _drawn([1, 1], _JSON), "m": _drawn(9, _M_VALUES)})
+            | _JSON_LEAF,
+        ),
+        "psi": _drawn({"kind": "constant", "value": 2.0}, _FIELDS),
+        "phi": _drawn({"kind": "expression", "expr": "x1 + x2"}, _FIELDS),
+        "schedule": _drawn(None, _JSON),
+    }
+).map(_strip_missing)
+
+
+class TestProblemFileFuzz:
+    @given(doc=st.one_of(_PROBLEM_DOCS, _JSON))
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_file_loads_or_raises_format_error(self, tmp_path_factory, doc):
+        """A drawn problem file either loads or raises ProblemFormatError; nothing else escapes."""
+        # json.dumps writes NaN and Infinity, which json.loads (and so load_problem) reads back
+        path = _write_problem(tmp_path_factory.getbasetemp(), doc, "fuzz.json")
+        try:
+            spec = load_problem(path)
+        except ProblemFormatError:
+            return
+        assert spec.grid.n == 2 and spec.beta > 0
 
 
 class TestFieldIO:
