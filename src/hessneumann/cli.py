@@ -20,7 +20,7 @@ import numpy as np
 from . import fieldio
 from .ellipticity import _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_plan, worker_count
 from .ellipticity import run_sweep  # noqa: F401  (unused here; bench/tracing.py patches this binding)
-from .problem import ProblemFormatError, build_case, load_problem
+from .problem import MANUFACTURED_CASES, ProblemFormatError, build_case, load_problem
 from .solver import NewtonOptions, NonconvergenceError, continuation_solve, newton_solve
 from .symfun import ConeError
 
@@ -28,6 +28,14 @@ __all__ = ["main", "entry"]
 
 _EXACT_FLOOR = 1e-10  # errors below this are at stencil-exactness level
 _MIN_ORDER = 1.7
+
+
+class _Failure(Exception):
+    """A command's own failure: main prints ``error: <message>`` and exits with ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _checked(kind, ok, wanted: str):
@@ -44,6 +52,19 @@ def _checked(kind, ok, wanted: str):
 
 
 _SCALE = _checked(float, lambda x: 0.0 < x <= _MAX_SCALE, f"in (0, {_MAX_SCALE:g}]")
+_POSITIVE = _checked(int, lambda x: x >= 1, "positive")
+_SEED = _checked(int, lambda x: x >= 0, ">= 0")  # numpy seeds its generators from nonnegative integers
+
+
+def _grid_sizes(text: str) -> list[int]:
+    """argparse type for --grids: at least two distinct odd sizes >= 9, comma-separated."""
+    try:
+        grids = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        grids = []
+    if len(grids) < 2 or len(set(grids)) != len(grids) or any(m < 9 or m % 2 == 0 for m in grids):
+        raise argparse.ArgumentTypeError(f"needs at least two distinct odd sizes >= 9 (got {text!r})")
+    return grids
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,54 +72,47 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-lemmas", help="run all inequality sweeps and write reports")
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--n-max", type=_checked(int, lambda x: 2 <= x <= 6, "in [2, 6]"), default=6)
+    p.add_argument("--samples", type=_POSITIVE, default=100000)
+    p.add_argument("--seed", type=_SEED, default=42)
     p.add_argument("--scale", type=_SCALE, default=1.0)
     p.add_argument("--out", type=Path, default=Path("."))
+    p.set_defaults(run=_cmd_verify_lemmas)
 
     p = sub.add_parser("solve", help="continuation-solve a JSON problem file")
     p.add_argument("--problem", type=Path, required=True)
     p.add_argument("--out", type=Path, default=Path("."))
     p.add_argument("--tol", type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"), default=None)
-    p.add_argument("--max-iter", type=_checked(int, lambda x: x >= 1, ">= 1"), default=50)
+    p.add_argument("--max-iter", type=_POSITIVE, default=50)
     p.add_argument("--dump-field", action="store_true", help="also write the binary field dump")
+    p.set_defaults(run=_cmd_solve)
 
     p = sub.add_parser("mms-study", help="manufactured-solution convergence study")
-    p.add_argument("--case", required=True)
-    p.add_argument("--grids", default="9,17,33", help="comma-separated m values")
+    p.add_argument("--case", required=True, choices=MANUFACTURED_CASES)
+    p.add_argument("--grids", type=_grid_sizes, default="9,17,33", help="comma-separated m values")
     p.add_argument("--out", type=Path, default=Path("."))
+    p.set_defaults(run=_cmd_mms_study)
 
     p = sub.add_parser("sample-cone", help="emit deterministic cone samples as CSV")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_checked(int, lambda x: x >= 2, ">= 2"), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--count", type=_POSITIVE, required=True)
+    p.add_argument("--seed", type=_SEED, default=42)
     p.add_argument("--scale", type=_SCALE, default=1.0)
     p.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
+    p.set_defaults(run=_cmd_sample_cone)
 
     return parser
 
 
-def _cmd_verify_lemmas(args) -> int:
-    if args.samples <= 0:
-        print("error: empty sweep (--samples must be positive)", file=sys.stderr)
-        return 2
-    if not 2 <= args.n_max <= 6:
-        print("error: --n-max must be in [2, 6]", file=sys.stderr)
-        return 2
+def _cmd_verify_lemmas(args) -> None:
     try:
         workers = worker_count()
     except ValueError:
-        print(f"error: HN_THREADS must be an integer (got {os.environ['HN_THREADS']!r})", file=sys.stderr)
-        return 2
+        raise _Failure(2, f"HN_THREADS must be an integer (got {os.environ['HN_THREADS']!r})") from None
     args.out.mkdir(parents=True, exist_ok=True)
     plan = default_sweep_plan(args.n_max)
-    try:
-        reports = run_plan(plan, samples=args.samples, seed=args.seed, scale=args.scale, workers=workers)
-    except ConeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    reports = run_plan(plan, samples=args.samples, seed=args.seed, scale=args.scale, workers=workers)
     for (family, n, k, l), rep in zip(plan, reports):
         tag = f"{family}_n{n}_k{k}" + (f"_l{l}" if l is not None else "")
         (args.out / f"{tag}.json").write_text(rep.to_json() + "\n", encoding="utf-8")
@@ -114,36 +128,23 @@ def _cmd_verify_lemmas(args) -> int:
     bad = [rep for rep in reports if rep.violations > 0]
     if bad:
         worst = bad[0]
-        print(
-            f"error: {len(bad)} sweep(s) with violations; first offender "
+        raise _Failure(
+            1,
+            f"{len(bad)} sweep(s) with violations; first offender "
             f"{worst.label} n={worst.n} k={worst.k} l={worst.l} argmin={worst.argmin}",
-            file=sys.stderr,
         )
-        return 1
     print(f"all {len(reports)} sweeps clean; summary in {summary}")
-    return 0
 
 
-def _cmd_solve(args) -> int:
-    try:
-        spec = load_problem(args.problem)
-    except FileNotFoundError:
-        print(f"error: problem file not found: {args.problem}", file=sys.stderr)
-        return 2
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_solve(args) -> None:
+    spec = load_problem(args.problem)
     args.out.mkdir(parents=True, exist_ok=True)
     opts = NewtonOptions(tol=args.tol, max_iter=args.max_iter)
     try:
         solution, report = continuation_solve(spec, opts=opts)
     except NonconvergenceError as exc:
         fieldio.write_report_json(args.out / "report.json", exc.report)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise
     fieldio.write_solution_csv(args.out / "solution.csv", solution)
     fieldio.write_report_json(args.out / "report.json", report)
     if args.dump_field:
@@ -152,42 +153,20 @@ def _cmd_solve(args) -> int:
         f"converged: residual={report.residual_norm:.3e} margin={report.final_margin:.3e} "
         f"stages={len(report.continuation)}"
     )
-    return 0
 
 
-def _cmd_mms_study(args) -> int:
-    try:
-        grids = [int(x) for x in args.grids.split(",") if x.strip()]
-    except ValueError:
-        print(f"error: bad --grids list: {args.grids!r}", file=sys.stderr)
-        return 2
-    if len(grids) < 2:
-        print("error: need at least two grid sizes", file=sys.stderr)
-        return 2
-    if any(m < 9 or m % 2 == 0 for m in grids) or len(set(grids)) != len(grids):
-        print(f"error: --grids needs distinct odd sizes >= 9 (got {args.grids!r})", file=sys.stderr)
-        return 2
+def _cmd_mms_study(args) -> None:
     args.out.mkdir(parents=True, exist_ok=True)
-
     rows = []
     prev = None
-    for m in grids:
-        try:
-            spec, u_exact = build_case(args.case, m)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        except ConeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    for m in args.grids:
+        spec, u_exact = build_case(args.case, m)
         try:
             solution, report = newton_solve(u_exact, spec)
         except NonconvergenceError as exc:
-            print(f"error: m={m}: {exc}", file=sys.stderr)
-            return 1
+            raise _Failure(1, f"m={m}: {exc}") from exc
         if not report.converged:
-            print(f"error: m={m}: Newton did not converge", file=sys.stderr)
-            return 1
+            raise _Failure(1, f"m={m}: Newton did not converge")
         err = float(np.abs(solution.values - u_exact.values).max())
         h = float(spec.grid.h.max())
         rows.append([m, h, err, None])
@@ -209,24 +188,18 @@ def _cmd_mms_study(args) -> int:
 
     if exact:
         print("errors at stencil-exactness level; study passes")
-        return 0
+        return
     final_order = rows[-1][3]
-    if final_order is not None and final_order >= _MIN_ORDER:
-        print(f"final observed order {final_order:.3f} >= {_MIN_ORDER}")
-        return 0
-    print(f"error: final observed order {final_order} below {_MIN_ORDER}", file=sys.stderr)
-    return 1
+    if not final_order >= _MIN_ORDER:
+        raise _Failure(1, f"final observed order {final_order} below {_MIN_ORDER}")
+    print(f"final observed order {final_order:.3f} >= {_MIN_ORDER}")
 
 
-def _cmd_sample_cone(args) -> int:
-    if args.count <= 0:
-        print("error: --count must be positive", file=sys.stderr)
-        return 2
+def _cmd_sample_cone(args) -> None:
     try:
         sampler = ConeSampler(args.n, args.k, args.seed, args.scale)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _Failure(2, str(exc)) from exc
     eta = sampler.draw_batch(args.count)
     lines = ["index," + ",".join(f"eta{i + 1}" for i in range(args.n))]
     for i, row in enumerate(eta):
@@ -236,24 +209,26 @@ def _cmd_sample_cone(args) -> int:
         sys.stdout.write(text)
     else:
         args.out.write_text(text, encoding="utf-8")
-    return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; return 0, 1 (mathematical failure) or 2 (usage or input error)."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.command == "verify-lemmas":
-        return _cmd_verify_lemmas(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "mms-study":
-        return _cmd_mms_study(args)
-    if args.command == "sample-cone":
-        return _cmd_sample_cone(args)
-    return 2
+    try:
+        args.run(args)
+    except _Failure as exc:
+        code, message = exc.code, str(exc)
+    except (ConeError, NonconvergenceError) as exc:
+        code, message = 1, str(exc)
+    except (ProblemFormatError, OSError) as exc:
+        code, message = 2, str(exc)
+    else:
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -26,7 +26,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -272,21 +272,7 @@ class SweepReport:
     CSV_HEADER = "label,n,k,l,samples,seed,scale,min_ratio,violations,extra"
 
     def to_json(self) -> str:
-        payload = {
-            "label": self.label,
-            "n": self.n,
-            "k": self.k,
-            "l": self.l,
-            "samples": self.samples,
-            "seed": self.seed,
-            "scale": self.scale,
-            "min_ratio": self.min_ratio,
-            "argmin": self.argmin,
-            "violations": self.violations,
-            "wall_time": self.wall_time,
-            "extra": self.extra,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def csv_row(self) -> str:
         l = "" if self.l is None else str(self.l)
@@ -373,12 +359,8 @@ def run_plan(plan, *, samples, seed, scale=1.0, workers=None) -> list[SweepRepor
             out.append((float(slack[j]), [float(x) for x in rows[j]], viol, extra, dt))
         return out
 
-    nw = min(worker_count(workers), len(tasks))
-    if nw > 1:
-        with ThreadPoolExecutor(max_workers=nw) as ex:
-            done = list(ex.map(lambda t: task(*t), tasks))
-    else:
-        done = [task(*t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=min(worker_count(workers), len(tasks))) as ex:
+        done = list(ex.map(lambda t: task(*t), tasks))
     chunks: list[list] = [[] for _ in plan]
     for (_, members, _, _), results in zip(tasks, done):
         for i, result in zip(members, results):

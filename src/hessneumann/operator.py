@@ -31,7 +31,6 @@ __all__ = [
     "admissible",
     "value_at_eta",
     "grad_at_eta",
-    "margin_at_eta",
 ]
 
 _SYM_RTOL = 1e-12
@@ -128,13 +127,6 @@ def grad_at_eta(eta, spec: OperatorSpec) -> np.ndarray:
     w = (tk * sl[..., None] - sk[..., None] * tl0) / sl[..., None] ** 2
     coef = (1.0 / spec.degree) * (sk / sl) ** (1.0 / spec.degree - 1.0)
     return coef[..., None] * w
-
-
-def margin_at_eta(eta, spec: OperatorSpec):
-    """Signed admissibility margin min_{i <= cone order} sigma_i(eta)."""
-    vals = _as_values(eta)
-    m = np.min(sigma_all(vals, spec.cone_order)[..., 1:], axis=-1)
-    return float(m) if vals.ndim == 1 else m
 
 
 def f_value(lam, spec: OperatorSpec):

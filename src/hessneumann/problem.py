@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -228,6 +229,25 @@ class ProblemFormatError(ValueError):
     """A problem file is malformed or fails validation."""
 
 
+# 3-D m = 65 is the largest grid the solver is sized for.  Memory grows faster
+# than the node count (the preconditioner's sparse LU holds 7.4e6 nonzeros at
+# 3-D m = 33), so a larger grid would exhaust memory instead of being refused.
+_MAX_NODES = 65**3
+
+
+def _number(value, what: str) -> float:
+    """A finite JSON number (int or float) as a float; bools, strings and null are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProblemFormatError(f"{what} must be a number (got {value!r})")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ProblemFormatError(f"{what} is too large for a float") from None
+    if not math.isfinite(out):
+        raise ProblemFormatError(f"{what} must be finite (got {value!r})")
+    return out
+
+
 def _integer(doc: dict, key: str) -> int:
     value = doc[key]
     # ints are not passed through float(), which overflows above 1.8e308
@@ -252,7 +272,7 @@ def _parse_field(payload, grid: BoxGrid, name: str) -> ScalarField:
     if kind == "constant":
         if "value" not in payload:
             raise ProblemFormatError(f"field '{name}': constant kind needs 'value'")
-        return ScalarField.constant(grid, float(payload["value"]))
+        return ScalarField.constant(grid, _number(payload["value"], f"field '{name}': 'value'"))
     if kind == "expression":
         if "expr" not in payload:
             raise ProblemFormatError(f"field '{name}': expression kind needs 'expr'")
@@ -271,7 +291,7 @@ def _parse_field(payload, grid: BoxGrid, name: str) -> ScalarField:
             vals = np.broadcast_to(np.asarray(fn(env), dtype=float), (grid.size,))
         return ScalarField(grid, vals.reshape(grid.shape))
     if kind == "grid":
-        vals = np.asarray(payload.get("values", []), dtype=float)
+        vals = np.array([_number(v, f"field '{name}': a grid value") for v in payload.get("values", [])])
         if vals.size != grid.size:
             raise ProblemFormatError(
                 f"field '{name}': grid kind needs {grid.size} values (got {vals.size})"
@@ -282,12 +302,17 @@ def _parse_field(payload, grid: BoxGrid, name: str) -> ScalarField:
 
 def load_problem(path) -> ProblemSpec:
     """Load and validate a JSON problem file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"problem file is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise ProblemFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemFormatError("problem file must contain a JSON object")
 
@@ -298,9 +323,13 @@ def load_problem(path) -> ProblemSpec:
     if not isinstance(box, dict) or not all(key in box for key in ("lo", "hi", "m")):
         raise ProblemFormatError("'box' must be an object with 'lo', 'hi' and 'm'")
     try:
-        grid = BoxGrid(tuple(box["lo"]), tuple(box["hi"]), _integer(box, "m"))
-    except (TypeError, ValueError, ArithmeticError) as exc:
+        lo = tuple(_number(x, "'lo' entry") for x in box["lo"])
+        hi = tuple(_number(x, "'hi' entry") for x in box["hi"])
+        grid = BoxGrid(lo, hi, _integer(box, "m"))
+    except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"invalid box: {exc}") from exc
+    if grid.size > _MAX_NODES:
+        raise ProblemFormatError(f"grid of {grid.m}^{grid.n} nodes exceeds the limit of {_MAX_NODES} nodes")
     n = _integer(doc, "n")
     if grid.n != n:
         raise ProblemFormatError(f"'n' = {n} does not match box dimension {grid.n}")
@@ -313,6 +342,8 @@ def load_problem(path) -> ProblemSpec:
     phi = _field_from_json(doc["phi"], grid, "phi")
     schedule = doc.get("schedule")
     try:
-        return ProblemSpec(grid, op, float(doc["beta"]), psi, phi, schedule)
-    except (TypeError, ValueError, ArithmeticError) as exc:
+        if schedule is not None:
+            schedule = [_number(t, "'schedule' entry") for t in schedule]
+        return ProblemSpec(grid, op, _number(doc["beta"], "'beta'"), psi, phi, schedule)
+    except (TypeError, ValueError) as exc:
         raise ProblemFormatError(str(exc)) from exc

@@ -11,7 +11,7 @@ problem to the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,13 +90,6 @@ class Diagnostics:
     sup_hessian_eig: float
     sup_normal_second: float
 
-    def to_dict(self) -> dict:
-        return {
-            "sup_gradient": self.sup_gradient,
-            "sup_hessian_eig": self.sup_hessian_eig,
-            "sup_normal_second": self.sup_normal_second,
-        }
-
 
 @dataclass
 class SolveReport:
@@ -110,25 +103,8 @@ class SolveReport:
     diagnostics: Diagnostics | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "residual_norm": self.residual_norm,
-            "final_margin": self.final_margin,
-            "iterations": [
-                {
-                    "residual_norm": r.residual_norm,
-                    "step": r.step,
-                    "min_margin": r.min_margin,
-                    "krylov_iterations": r.krylov_iterations,
-                    "direct_fallback": r.direct_fallback,
-                }
-                for r in self.iterations
-            ],
-            "continuation": [
-                {"t": s.t, "converged": s.converged, "iterations": s.iterations} for s in self.continuation
-            ],
-            "diagnostics": self.diagnostics.to_dict() if self.diagnostics else None,
-        }
+        """The report.json payload: the fields above, records nested as dicts."""
+        return asdict(self)
 
 
 class NonconvergenceError(RuntimeError):

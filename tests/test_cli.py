@@ -222,10 +222,21 @@ class TestSampleCone:
     def test_bad_cone_index(self):
         assert main(["sample-cone", "--n", "3", "--k", "5", "--count", "5"]) == 2
 
+    def test_one_entry_spectrum_is_a_usage_error(self, capsys):
+        assert main(["sample-cone", "--n", "1", "--k", "1", "--count", "5"]) == 2
+        assert "error: argument --n: must be >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-2"])
     def test_bad_scale(self, capsys, scale):
         assert main(["sample-cone", "--n", "3", "--k", "2", "--count", "5", "--scale", scale]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample-cone", "verify-lemmas"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        args = ["--n", "3", "--k", "2", "--count", "5"] if command == "sample-cone" else ["--n-max", "2", "--samples", "10"]
+        assert main([command, *args, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "error: argument --seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 _BAD_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "abc", ""]
@@ -238,12 +249,14 @@ def _text(numbers):
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 _SCALES = _text(st.one_of(st.floats(1e-6, 1e6), _ANY_FLOAT))
+_SEEDS = st.one_of(st.integers(-(10**20), 10**20), st.sampled_from(["-1", "1.5", "abc"])).map(str)
 _FUZZ_ARGV = st.one_of(
     st.tuples(
         st.just("verify-lemmas"),
         st.just("--n-max"), _text(st.integers(2, 3)),
         st.just("--samples"), _text(st.integers(1, 50)),
         st.just("--scale"), _SCALES,
+        st.just("--seed"), _SEEDS,
     ),
     st.tuples(
         st.just("sample-cone"),
@@ -251,6 +264,7 @@ _FUZZ_ARGV = st.one_of(
         st.just("--k"), st.integers(1, 5).map(str),
         st.just("--count"), _text(st.integers(1, 50)),
         st.just("--scale"), _SCALES,
+        st.just("--seed"), _SEEDS,
     ),
     st.tuples(
         st.just("mms-study"),
@@ -267,16 +281,57 @@ _FUZZ_ARGV = st.one_of(
 
 
 class TestExitCodeContract:
-    @given(argv=_FUZZ_ARGV)
+    @given(argv=_FUZZ_ARGV, out=st.sampled_from(["new", "existing-file", "under-missing-dir"]))
     @settings(max_examples=300, deadline=None)
-    def test_drawn_options_exit_0_1_or_2(self, tmp_path_factory, argv):
-        """Any drawn option values end in exit 0, 1 or 2, never in an escaped exception."""
-        root = tmp_path_factory.getbasetemp() / "exit-code-contract"
-        root.mkdir(exist_ok=True)
-        argv = list(argv) + ["--out", str(root / ("out.csv" if argv[0] == "sample-cone" else "out"))]
+    def test_drawn_options_exit_0_1_or_2(self, tmp_path_factory, argv, out):
+        """Any drawn option values and --out target end in exit 0, 1 or 2, never in an escaped exception."""
+        root = Path(tmp_path_factory.mktemp("exit-code-contract"))
+        (root / "existing-file").write_text("x", encoding="utf-8")
+        target = {"new": root / "new", "existing-file": root / "existing-file", "under-missing-dir": root / "missing" / "out"}
+        argv = list(argv) + ["--out", str(target[out])]
         if argv[0] == "solve":
             argv += ["--problem", str(write_problem(root, small_paraboloid_doc()))]
         assert main(argv) in (0, 1, 2)
+
+
+class TestFileErrors:
+    """An unwritable --out or an unreadable problem file exits 2 with a single error line."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "solve-out-is-file",
+            "verify-lemmas-out-is-file",
+            "mms-study-out-is-file",
+            "sample-cone-out-under-missing-dir",
+            "solve-problem-is-dir",
+            "solve-problem-not-utf8",
+            "solve-problem-int-over-digit-limit",
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, case):
+        afile = tmp_path / "afile"
+        afile.write_text("x", encoding="utf-8")
+        bad_utf8 = tmp_path / "utf16.json"
+        bad_utf8.write_text(json.dumps(small_paraboloid_doc()), encoding="utf-16")
+        huge_int = tmp_path / "huge.json"
+        huge_int.write_text('{"n": ' + "1" * 5000 + "}", encoding="utf-8")
+        problem = str(write_problem(tmp_path, small_paraboloid_doc()))
+        argv = {
+            "solve-out-is-file": ["solve", "--problem", problem, "--out", str(afile)],
+            "verify-lemmas-out-is-file": ["verify-lemmas", "--n-max", "2", "--samples", "10", "--out", str(afile)],
+            "mms-study-out-is-file": ["mms-study", "--case", "paraboloid", "--grids", "9,11", "--out", str(afile)],
+            "sample-cone-out-under-missing-dir": [
+                "sample-cone", "--n", "3", "--k", "2", "--count", "3", "--out", str(tmp_path / "missing" / "s.csv"),
+            ],
+            "solve-problem-is-dir": ["solve", "--problem", str(tmp_path), "--out", str(tmp_path / "out")],
+            "solve-problem-not-utf8": ["solve", "--problem", str(bad_utf8), "--out", str(tmp_path / "out")],
+            "solve-problem-int-over-digit-limit": ["solve", "--problem", str(huge_int), "--out", str(tmp_path / "out")],
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

@@ -212,6 +212,15 @@ class TestProblemFiles:
             (lambda d: d.update(psi={"kind": "grid", "values": [1.0] * 3}), "81"),
             (lambda d: d.update(l=10**400), "l="),
             (lambda d: d.update(beta=10**400), "too large"),
+            (lambda d: d["box"].update(lo="00", hi="11"), "'lo' entry must be a number (got '0')"),
+            (lambda d: d.update(psi={"kind": "constant", "value": "2.5"}), "'value' must be a number"),
+            (lambda d: d.update(psi={"kind": "constant", "value": True}), "'value' must be a number"),
+            (lambda d: d.update(beta="1.0"), "'beta' must be a number"),
+            (lambda d: d.update(beta=float("inf")), "'beta' must be finite"),
+            (lambda d: d.update(schedule=["0.5", "1.0"]), "'schedule' entry must be a number"),
+            (lambda d: d.update(psi={"kind": "grid", "values": ["1.0"] * 81}), "grid value must be a number"),
+            (lambda d: d.update(psi={"kind": "grid", "values": [True] * 81}), "grid value must be a number"),
+            (lambda d: d["box"].update(m=30001), "exceeds the limit"),
         ],
     )
     def test_validation_messages(self, tmp_path, mutate, needle):
@@ -220,6 +229,30 @@ class TestProblemFiles:
         with pytest.raises(ProblemFormatError) as info:
             load_problem(_write_problem(tmp_path, doc))
         assert needle in str(info.value)
+
+    @pytest.mark.parametrize(
+        "raw,needle",
+        [
+            (json.dumps(_valid_doc()).encode("utf-16"), "not UTF-8"),
+            (b'{"n": ' + b"1" * 5000 + b"}", "invalid JSON"),
+        ],
+        ids=["utf-16", "int-over-digit-limit"],
+    )
+    def test_unreadable_text(self, tmp_path, raw, needle):
+        path = tmp_path / "raw.json"
+        path.write_bytes(raw)
+        with pytest.raises(ProblemFormatError) as info:
+            load_problem(path)
+        assert needle in str(info.value)
+
+    def test_grid_cap_admits_3d_m65(self, tmp_path):
+        doc = _valid_doc()
+        doc.update(n=3, k=2, phi={"kind": "constant", "value": 1.0})
+        doc["box"] = {"lo": [0, 0, 0], "hi": [1, 1, 1], "m": 65}
+        assert load_problem(_write_problem(tmp_path, doc)).grid.size == 65**3
+        doc["box"]["m"] = 67
+        with pytest.raises(ProblemFormatError, match="exceeds the limit"):
+            load_problem(_write_problem(tmp_path, doc))
 
 
 _JSON_LEAF = st.one_of(
@@ -246,8 +279,10 @@ _FIELDS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("grid"), "values": _GRID_VALUES}),
     _JSON,
 )
-# m is drawn from a bounded set: a large odd m is a valid grid whose fields would fill the memory
-_M_VALUES = st.sampled_from([9, 11, 9.0, 9.5, 8, -9, 0, 10**400, 1e300, math.inf, math.nan, "9", None, True, [9], {}])
+# the large odd sizes must be refused by the grid cap before any field is allocated
+_M_VALUES = st.sampled_from(
+    [9, 11, 9.0, 9.5, 8, -9, 0, 30001, 10**9 + 1, 10**400, 1e300, math.inf, math.nan, "9", None, True, [9], {}]
+)
 _MISSING = object()
 
 
