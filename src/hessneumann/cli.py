@@ -20,7 +20,7 @@ import numpy as np
 from . import fieldio
 from .ellipticity import _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_plan, worker_count
 from .ellipticity import run_sweep  # noqa: F401  (unused here; bench/tracing.py patches this binding)
-from .problem import MANUFACTURED_CASES, ProblemFormatError, build_case, load_problem
+from .problem import _MAX_NODES, MANUFACTURED_CASES, ProblemFormatError, build_case, load_problem
 from .solver import NewtonOptions, NonconvergenceError, continuation_solve, newton_solve
 from .symfun import ConeError
 
@@ -28,6 +28,9 @@ __all__ = ["main", "entry"]
 
 _EXACT_FLOOR = 1e-10  # errors below this are at stencil-exactness level
 _MIN_ORDER = 1.7
+# sample-cone holds all count * n values, and their CSV text, in memory at
+# once: about 90 MB per million values
+_MAX_SAMPLE_VALUES = 4_000_000
 
 
 class _Failure(Exception):
@@ -156,6 +159,10 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_mms_study(args) -> None:
+    dim = MANUFACTURED_CASES[args.case].n
+    for m in args.grids:
+        if m**dim > _MAX_NODES:
+            raise _Failure(2, f"grid of {m}^{dim} nodes exceeds the limit of {_MAX_NODES} nodes")
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     prev = None
@@ -196,6 +203,8 @@ def _cmd_mms_study(args) -> None:
 
 
 def _cmd_sample_cone(args) -> None:
+    if args.count * args.n > _MAX_SAMPLE_VALUES:
+        raise _Failure(2, f"--count {args.count} times --n {args.n} exceeds the limit of {_MAX_SAMPLE_VALUES} values")
     try:
         sampler = ConeSampler(args.n, args.k, args.seed, args.scale)
     except ValueError as exc:

@@ -251,9 +251,10 @@ class SweepReport:
     ``min_ratio`` is the smallest signed slack of the inequality seen over the
     sweep and ``argmin`` the sample attaining it; ``violations`` counts samples
     whose slack falls below -tolerance (1e-12, except 1e-10 for the trace
-    bound).  ``wall_time`` is the sweep's own evaluation time plus an equal
-    share of the draws of the stream it shares with other sweeps of its plan;
-    it is informational and excluded from determinism guarantees and the CSV row.
+    bound) or is not finite; a non-finite slack ranks as -inf.  ``wall_time``
+    is the sweep's own evaluation time plus an equal share of the draws of the
+    stream it shares with other sweeps of its plan; it is informational and
+    excluded from determinism guarantees and the CSV row.
     """
 
     label: str
@@ -353,6 +354,12 @@ def run_plan(plan, *, samples, seed, scale=1.0, workers=None) -> list[SweepRepor
             except ConeError as exc:
                 out.append(exc)
                 continue
+            # NaN and +inf pass every family's `slack < -tol` test; count them
+            # here and rank every non-finite slack lowest, so argmin names it
+            finite = np.isfinite(slack)
+            if not finite.all():
+                viol += int((np.isnan(slack) | (slack == np.inf)).sum())
+                slack = np.where(finite, slack, -np.inf)
             j = int(np.argmin(slack))
             # floats, not a view: rows[j] would keep the whole chunk alive
             dt = draw_share + time.perf_counter() - t0

@@ -42,6 +42,13 @@ __all__ = [
 
 _MIN_CONTINUATION_STEP = 1.0 / 256.0
 
+# After the first cone rejection of a line search, the next trial steps this
+# fraction of the way to the cone boundary (the interior-point rule of
+# Waechter & Biegler 2006); Armijo halving goes on from there.
+_FRACTION_TO_BOUNDARY = 0.99
+# Relative rounding allowed in the polynomial fit of _max_admissible_step.
+_FIT_ROUNDING = 64.0 * np.finfo(float).eps
+
 # GMRES stopping test on the true residual |b - J x| <= rtol |b|; restarts of
 # up to _GMRES_RESTART iterations, at most _GMRES_MAXITER of them.
 _GMRES_RTOL = 1e-10
@@ -61,11 +68,24 @@ class NewtonOptions:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One accepted Newton step.
+
+    ``trials`` counts the line-search trials, the accepted one included;
+    ``cone_rejections`` those that left the cone and ``armijo_rejections``
+    those that failed the Armijo decrease.  ``max_step`` is the largest
+    admissible step computed at the first cone rejection, None if none
+    occurred.
+    """
+
     residual_norm: float
     step: float
     min_margin: float
     krylov_iterations: int
     direct_fallback: bool
+    trials: int
+    cone_rejections: int
+    armijo_rejections: int
+    max_step: float | None
 
 
 @dataclass(frozen=True)
@@ -200,19 +220,62 @@ def _interior_hessians(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
     return out
 
 
-def _interior_eta(values: np.ndarray, spec: ProblemSpec, what: str, want_vectors: bool = False):
-    """Eigen-decomposition of trace(H) I - H at all interior nodes, and its least cone margin.
-
-    Returns (eig, margin), eig being eigvalsh's result or, with want_vectors,
-    eigh's; raises ConeError at the worst interior node unless every node is
-    strictly admissible.
-    """
-    hess = _interior_hessians(values, spec.grid)
+def _eta_spectra(values: np.ndarray, grid: BoxGrid, want_vectors: bool = False):
+    """Eigen-decomposition of trace(H) I - H at all interior nodes: eigvalsh's result, or eigh's with want_vectors."""
+    hess = _interior_hessians(values, grid)
     tr = np.trace(hess, axis1=-2, axis2=-1)
-    s = tr[..., None, None] * np.eye(spec.grid.n) - hess
-    eig = np.linalg.eigh(s) if want_vectors else np.linalg.eigvalsh(s)
+    s = tr[..., None, None] * np.eye(grid.n) - hess
+    return np.linalg.eigh(s) if want_vectors else np.linalg.eigvalsh(s)
+
+
+def _interior_eta(values: np.ndarray, spec: ProblemSpec, what: str, want_vectors: bool = False):
+    """(_eta_spectra, least cone margin); raises ConeError at the worst node unless all are strictly admissible."""
+    eig = _eta_spectra(values, spec.grid, want_vectors)
     eta = eig[0] if want_vectors else eig
     return eig, _require_admissible(sigma_all(eta, spec.op.cone_order), what, origin=1)
+
+
+def _max_admissible_step(
+    values: np.ndarray, delta: np.ndarray, spec: ProblemSpec, alpha_out: float, eta_in, eta_out
+) -> float:
+    """Largest alpha in [0, alpha_out] with values + alpha * delta strictly admissible, to float resolution.
+
+    eta_in and eta_out are the interior eta spectra at alpha = 0 (admissible)
+    and at alpha_out (not).  The eta-matrix is affine in alpha, so sigma_i of
+    its eigenvalues is a polynomial of degree i: sampling sigma_1..sigma_c at
+    c + 1 evenly spaced steps fixes every coefficient.  The constant term is
+    taken exactly from eta_in, so alpha = 0 stays admissible.  The cone is
+    convex, so the steps at which every polynomial is positive at every node
+    form an interval from 0; bisecting on that predicate finds its end without
+    another eigendecomposition.
+    """
+    c = spec.op.cone_order
+    s = np.arange(c + 1) / c  # alpha / alpha_out
+    inner = [_eta_spectra(values + (alpha_out * x) * delta, spec.grid) for x in s[1:-1]]
+    e = np.stack([sigma_all(eta, c)[..., 1:] for eta in (eta_in, *inner, eta_out)])
+    coef = np.empty_like(e)  # coef[q] multiplies s**q
+    coef[0] = e[0]
+    vander = s[1:, None] ** np.arange(1, c + 1)
+    coef[1:] = np.linalg.solve(vander, (e[1:] - e[0]).reshape(c, -1)).reshape(e[1:].shape)
+    # The fit is exact up to rounding of order eps times the samples.  Near a
+    # root of even order, such as sigma_2 = 3 t^2 at the cone's vertex t I,
+    # that rounding dips the fit below zero over a window of width ~ sqrt(eps);
+    # the polynomial does not change sign there, so the dip is not an exit.
+    floor = -_FIT_ROUNDING * np.abs(e).max(axis=0)
+
+    def admissible(x: float) -> bool:
+        p = coef[c]
+        for q in range(c - 1, -1, -1):
+            p = p * x + coef[q]
+        return bool((p > floor).all())
+
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if admissible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return alpha_out * lo
 
 
 def residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
@@ -367,7 +430,9 @@ def newton_solve(
     laplace_robin(grid, beta) (falling back to a sparse LU of J when GMRES
     misses its tolerance), and halves the step until the trial iterate is
     strictly admissible at every interior node and the residual sup norm
-    satisfies the Armijo decrease.  Terminates at
+    satisfies the Armijo decrease.  The first trial that leaves the cone is
+    followed by one at _FRACTION_TO_BOUNDARY times the largest admissible
+    step, and halving resumes from there.  Terminates at
     opts.tol (residual sup norm) or opts.max_iter; returns (solution, report)
     with report.converged telling which.  A line-search step below
     opts.min_step raises NonconvergenceError.  ``preconditioner`` shares that
@@ -398,20 +463,28 @@ def newton_solve(
         delta, krylov, fallback = _newton_direction(mat, -res.ravel(), preconditioner)
         delta = delta.reshape(grid.shape)
 
-        alpha = 1.0
+        alpha, max_step = 1.0, None
+        trials = cone_rejections = armijo_rejections = 0
         accepted = False
         while alpha >= opts.min_step:
+            trials += 1
             trial = u + alpha * delta
+            eta_t = _eta_spectra(trial, grid)
             try:
-                eta_t, mmin_t = _interior_eta(trial, spec, "trial iterate")
+                mmin_t = _require_admissible(sigma_all(eta_t, spec.op.cone_order), "trial iterate", origin=1)
             except ConeError:
-                pass  # the step left the cone
+                cone_rejections += 1
+                if max_step is None:
+                    max_step = _max_admissible_step(u, delta, spec, alpha, eta, eta_t)
+                    alpha = _FRACTION_TO_BOUNDARY * max_step
+                    continue
             else:
                 res_t = _residual_values(trial, eta_t, spec)
                 rnorm_t = float(np.abs(res_t).max())
                 if rnorm_t <= (1.0 - opts.armijo * alpha) * rnorm:
                     accepted = True
                     break
+                armijo_rejections += 1
             alpha *= 0.5
         if not accepted:
             report.converged = False
@@ -420,8 +493,12 @@ def newton_solve(
             raise NonconvergenceError(
                 f"line search underflow (step < {opts.min_step:g}) at residual {rnorm:.3e}", report
             )
-        u, res, rnorm, mmin = trial, res_t, rnorm_t, mmin_t
-        report.iterations.append(IterationRecord(rnorm, alpha, mmin, krylov, fallback))
+        u, eta, res, rnorm, mmin = trial, eta_t, res_t, rnorm_t, mmin_t
+        report.iterations.append(
+            IterationRecord(
+                rnorm, alpha, mmin, krylov, fallback, trials, cone_rejections, armijo_rejections, max_step
+            )
+        )
 
     report.converged = bool(rnorm <= tol)
     report.residual_norm = rnorm

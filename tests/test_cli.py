@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hessneumann
+from hessneumann import cli
 from hessneumann.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def refused_without_allocating(argv, capsys):
+    """Run main(argv), assert exit 2 with a single error line and return it; the run may allocate < 1 MiB."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert peak < 1 << 20
+    return err[0]
 
 
 def write_problem(tmp_path, doc, name="prob.json"):
@@ -196,6 +213,16 @@ class TestMmsStudy:
             assert main(["mms-study", "--case", "paraboloid", "--grids", grids, "--out", str(tmp_path)]) == 2
             assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case,grids,refused",
+        [("perturbed-paraboloid", "9,67", "67^3"), ("perturbed-paraboloid-2d", "9,1001", "1001^2")],
+    )
+    def test_grid_over_the_node_cap_exits_2_before_building(self, tmp_path, capsys, monkeypatch, case, grids, refused):
+        monkeypatch.setattr(cli, "build_case", lambda *args: pytest.fail("build_case ran"))
+        argv = ["mms-study", "--case", case, "--grids", grids, "--out", str(tmp_path / "out")]
+        assert refused in refused_without_allocating(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
 
 class TestSampleCone:
     def test_deterministic_csv(self, tmp_path):
@@ -218,6 +245,12 @@ class TestSampleCone:
 
     def test_bad_count(self):
         assert main(["sample-cone", "--n", "3", "--k", "2", "--count", "0"]) == 2
+
+    def test_count_over_the_value_cap_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ConeSampler", lambda *args: pytest.fail("the sampler ran"))
+        argv = ["sample-cone", "--n", "3", "--k", "2", "--count", "1000000000", "--out", str(tmp_path / "s.csv")]
+        assert "1000000000" in refused_without_allocating(argv, capsys)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bad_cone_index(self):
         assert main(["sample-cone", "--n", "3", "--k", "5", "--count", "5"]) == 2

@@ -263,6 +263,19 @@ class TestRunPlan:
             run_plan(default_sweep_plan(4), samples=100, seed=1, workers=workers)
         assert info.value.order == 3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_slack_is_a_violation(self, monkeypatch, bad):
+        def bad_at_sample_3(eta, n, k, l):
+            slack = np.arange(len(eta), dtype=float)
+            slack[3] = bad
+            return slack, eta, 0, {}
+
+        monkeypatch.setitem(ellipticity._FAMILIES, "trace-bound", (bad_at_sample_3, 0, 1e-10, None))
+        rep = run_sweep("trace-bound", 3, 2, None, samples=10, seed=1, workers=1)
+        assert rep.violations == 1
+        assert rep.min_ratio == -math.inf
+        assert rep.argmin == sample_block(3, 2, 1, 1.0, 3, 1)[0].tolist()
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown sweep family"):
             run_plan([("nope", 3, 2, None)], samples=10, seed=1)

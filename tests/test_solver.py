@@ -1,13 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from hessneumann import solver
+from hessneumann.fieldio import read_field_binary
 from hessneumann.grid import BoxGrid, ScalarField
 from hessneumann.operator import OperatorSpec
-from hessneumann.problem import build_case, manufactured_problem, paraboloid, perturbed_paraboloid
+from hessneumann.problem import build_case, load_problem, manufactured_problem, paraboloid, perturbed_paraboloid
 from hessneumann.solver import (
     ContinuationError,
     NewtonOptions,
@@ -20,6 +22,9 @@ from hessneumann.solver import (
     residual,
 )
 from hessneumann.symfun import ConeError
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def paraboloid_spec(m=9, n=3, k=2, beta=1.0):
@@ -222,6 +227,74 @@ class TestNewtonDirection:
             newton_solve(u_star, spec, preconditioner=solver._LaplaceRobinLU(spec.grid, 2.0))
 
 
+def _outward_direction(op, m, amplitude):
+    """A manufactured paraboloid start and the direction -2 u* + noise, which leaves the cone by alpha = 1."""
+    grid = BoxGrid((0.0,) * op.n, (1.0,) * op.n, m)
+    spec, u_star = manufactured_problem(paraboloid(grid.center), op, 1.0, grid)
+    rng = np.random.default_rng(11)
+    return spec, u_star.values, -2.0 * u_star.values + amplitude * rng.standard_normal(grid.shape)
+
+
+def _psi_zero_17_newton_direction():
+    """A mid-continuation psi-zero-17 iterate and its Newton direction towards the target data."""
+    spec = load_problem(REPO / "problems" / "psi-zero-17.json")
+    u = mid_continuation_iterate(spec)
+    delta = spla.splu(jacobian(u, spec).tocsc()).solve(-residual(u, spec).values.ravel())
+    return spec, u.values, delta.reshape(spec.grid.shape)
+
+
+def _first_step_outside(values, delta, spec):
+    """The first of alpha = 1, 2, 4, ... at which values + alpha * delta leaves the cone."""
+    alpha = 1.0
+    while alpha < 1e6:
+        try:
+            solver._interior_eta(values + alpha * delta, spec, "probe")
+        except ConeError:
+            return alpha
+        alpha *= 2.0
+    raise AssertionError("the direction never leaves the cone")
+
+
+def _bisect_max_step(values, delta, spec, alpha_out):
+    """Largest admissible step by bisection on _interior_eta itself, to float resolution."""
+    lo, hi = 0.0, alpha_out
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        try:
+            solver._interior_eta(values + mid * delta, spec, "probe")
+        except ConeError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+class TestMaxAdmissibleStep:
+    CASES = {
+        "k1": lambda: _outward_direction(OperatorSpec(2, 1), 9, 1e-3),
+        "k2": lambda: _outward_direction(OperatorSpec(3, 2), 9, 1e-3),
+        "k2-psi-zero-17-mid-continuation": _psi_zero_17_newton_direction,
+        # grids are 2-D or 3-D and k <= n - 1, so cone order 3 is the quotient's
+        "quotient-cone-order-3": lambda: _outward_direction(OperatorSpec(3, 2, 1), 9, 1e-3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_bisection_on_the_eigenvalues(self, case):
+        spec, values, delta = self.CASES[case]()
+        alpha_out = _first_step_outside(values, delta, spec)
+        want = _bisect_max_step(values, delta, spec, alpha_out)
+        got = solver._max_admissible_step(
+            values,
+            delta,
+            spec,
+            alpha_out,
+            solver._eta_spectra(values, spec.grid),
+            solver._eta_spectra(values + alpha_out * delta, spec.grid),
+        )
+        assert 0.0 < want < alpha_out
+        assert abs(got - want) <= 1e-8 * want
+        solver._interior_eta(values + solver._FRACTION_TO_BOUNDARY * got * delta, spec, "proposed step")
+
+
 class TestNewton:
     def test_converges_immediately_from_exact_start(self):
         spec, u_star = paraboloid_spec(m=9)
@@ -301,6 +374,30 @@ class TestContinuation:
         assert rep.final_margin > 0
         assert min(r.min_margin for r in rep.iterations) > 0
         assert rep.continuation[-1].t == 1.0
+
+    def test_psi_zero_17_steps_short_of_the_cone_boundary(self):
+        spec = load_problem(REPO / "problems" / "psi-zero-17.json")
+        sol, rep = continuation_solve(spec)
+        assert rep.converged and rep.continuation[-1].t == 1.0
+        assert rep.continuation[-1].iterations <= 8 and len(rep.iterations) <= 30
+        assert all(r.min_margin > 0 for r in rep.iterations)
+        assert all(r.trials == 1 + r.cone_rejections + r.armijo_rejections for r in rep.iterations)
+        clipped = [r for r in rep.iterations if r.max_step is not None]
+        assert clipped and all(r.cone_rejections >= 1 and r.step <= 0.99 * r.max_step for r in clipped)
+        _, _, ref = read_field_binary(REPO / "bench" / "ref" / "psi-zero-17.bin")
+        tol = 1e-10 * (1.0 + np.abs(spec.psi_tilde()).max())
+        assert np.abs(sol.values - ref).max() <= tol
+
+    def test_paraboloid_17_never_clips(self):
+        spec = load_problem(REPO / "problems" / "paraboloid-17.json")
+        _, rep = continuation_solve(spec)
+        grid = spec.grid
+        tilt = (0.3 * grid.points()[:, 0] - 0.2 * grid.points()[:, 1]).reshape(grid.shape)
+        _, tilted = newton_solve(ScalarField(grid, quadratic_field(grid, np.eye(3), -grid.center).values + tilt), spec)
+        assert rep.converged and tilted.converged and tilted.iterations
+        for r in rep.iterations + tilted.iterations:
+            assert r.max_step is None and r.cone_rejections == 0
+            assert r.trials == 1 + r.armijo_rejections
 
     def test_stalling_raises_continuation_error(self):
         spec0, u0 = paraboloid_spec(m=9)
