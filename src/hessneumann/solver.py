@@ -81,7 +81,6 @@ class IterationRecord:
     step: float
     min_margin: float
     krylov_iterations: int
-    direct_fallback: bool
     trials: int
     cone_rejections: int
     armijo_rejections: int
@@ -128,7 +127,7 @@ class SolveReport:
 
 
 class NonconvergenceError(RuntimeError):
-    """Newton failed (line-search underflow); carries the partial report."""
+    """Newton failed (a GMRES miss or a line-search underflow); carries the partial report."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
@@ -220,19 +219,25 @@ def _interior_hessians(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
     return out
 
 
-def _eta_spectra(values: np.ndarray, grid: BoxGrid, want_vectors: bool = False):
-    """Eigen-decomposition of trace(H) I - H at all interior nodes: eigvalsh's result, or eigh's with want_vectors."""
+def _eta_spectra(values: np.ndarray, grid: BoxGrid):
+    """eigh of trace(H) I - H at all interior nodes: (eigenvalues eta, eigenvectors)."""
     hess = _interior_hessians(values, grid)
     tr = np.trace(hess, axis1=-2, axis2=-1)
-    s = tr[..., None, None] * np.eye(grid.n) - hess
-    return np.linalg.eigh(s) if want_vectors else np.linalg.eigvalsh(s)
+    return np.linalg.eigh(tr[..., None, None] * np.eye(grid.n) - hess)
 
 
-def _interior_eta(values: np.ndarray, spec: ProblemSpec, what: str, want_vectors: bool = False):
-    """(_eta_spectra, least cone margin); raises ConeError at the worst node unless all are strictly admissible."""
-    eig = _eta_spectra(values, spec.grid, want_vectors)
-    eta = eig[0] if want_vectors else eig
-    return eig, _require_admissible(sigma_all(eta, spec.op.cone_order), what, origin=1)
+def _evaluate(values: np.ndarray, eig, spec: ProblemSpec, what: str):
+    """(least cone margin, residual) at values, whose interior eta spectra are eig = _eta_spectra(values).
+
+    Raises ConeError at the worst node unless every interior node is strictly
+    admissible.
+    """
+    margin = _require_admissible(sigma_all(eig[0], spec.op.cone_order), what, origin=1)
+    grid = spec.grid
+    out = _robin_data(grid, spec.beta, values, _gradient(values, grid)) - spec.phi.values
+    core = grid.interior()
+    out[core] = value_at_eta(eig[0], spec.op) - spec.psi_tilde()[core]
+    return margin, out
 
 
 def _max_admissible_step(
@@ -251,7 +256,7 @@ def _max_admissible_step(
     """
     c = spec.op.cone_order
     s = np.arange(c + 1) / c  # alpha / alpha_out
-    inner = [_eta_spectra(values + (alpha_out * x) * delta, spec.grid) for x in s[1:-1]]
+    inner = [_eta_spectra(values + (alpha_out * x) * delta, spec.grid)[0] for x in s[1:-1]]
     e = np.stack([sigma_all(eta, c)[..., 1:] for eta in (eta_in, *inner, eta_out)])
     coef = np.empty_like(e)  # coef[q] multiplies s**q
     coef[0] = e[0]
@@ -280,21 +285,18 @@ def _max_admissible_step(
 
 def residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """Equation residual at every node; raises ConeError on any inadmissible node."""
-    eta, _ = _interior_eta(u.values, spec, "iterate")
-    return ScalarField(spec.grid, _residual_values(u.values, eta, spec))
-
-
-def _residual_values(values: np.ndarray, eta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    grid = spec.grid
-    out = _robin_data(grid, spec.beta, values, _gradient(values, grid)) - spec.phi.values
-    core = grid.interior()
-    out[core] = value_at_eta(eta, spec.op) - spec.psi_tilde()[core]
-    return out
+    _, res = _evaluate(u.values, _eta_spectra(u.values, spec.grid), spec, "iterate")
+    return ScalarField(spec.grid, res)
 
 
 def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
     """Sparse derivative of the residual with respect to every nodal value."""
-    (eta, q), _ = _interior_eta(u.values, spec, "iterate", want_vectors=True)
+    return _jacobian(_eta_spectra(u.values, spec.grid), spec)
+
+
+def _jacobian(eig, spec: ProblemSpec) -> sp.csr_matrix:
+    """The Jacobian at an iterate whose interior eta spectra are eig = (eta, eigenvectors)."""
+    eta, q = eig
     g = grad_at_eta(eta, spec.op)
     a = np.einsum("...ij,...j,...kj->...ik", q, g, q)
     tr = np.trace(a, axis1=-2, axis2=-1)
@@ -386,10 +388,7 @@ class _LaplaceRobinLU:
 
 
 def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _LaplaceRobinLU):
-    """Solve mat @ x = rhs by preconditioned GMRES; returns (x, Krylov iterations, used the direct fallback).
-
-    A GMRES run that misses the tolerance falls back to a sparse LU of mat.
-    """
+    """Solve mat @ x = rhs by preconditioned GMRES; returns (x, Krylov iterations), x None if GMRES missed _GMRES_RTOL."""
     iterations = 0
 
     def count(_):
@@ -408,9 +407,7 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _LaplaceRobi
         callback=count,
         callback_type="pr_norm",
     )
-    if info != 0:
-        return spla.splu(mat.tocsc()).solve(rhs), iterations, True
-    return x, iterations, False
+    return (x if info == 0 else None), iterations
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +424,16 @@ def newton_solve(
     """Damped Newton from an admissible start.
 
     Solves J delta = -R by GMRES preconditioned with one LU of
-    laplace_robin(grid, beta) (falling back to a sparse LU of J when GMRES
-    misses its tolerance), and halves the step until the trial iterate is
+    laplace_robin(grid, beta), and halves the step until the trial iterate is
     strictly admissible at every interior node and the residual sup norm
     satisfies the Armijo decrease.  The first trial that leaves the cone is
     followed by one at _FRACTION_TO_BOUNDARY times the largest admissible
-    step, and halving resumes from there.  Terminates at
+    step, and halving resumes from there.  Each iterate is decomposed once:
+    the accepted trial's eigenvectors build the next Jacobian.  Terminates at
     opts.tol (residual sup norm) or opts.max_iter; returns (solution, report)
-    with report.converged telling which.  A line-search step below
-    opts.min_step raises NonconvergenceError.  ``preconditioner`` shares that
+    with report.converged telling which.  A GMRES run that misses its
+    tolerance, or a line-search step below opts.min_step, raises
+    NonconvergenceError.  ``preconditioner`` shares that
     LU between calls on the same grid and beta (continuation_solve passes one
     to all its stages); by default each call factors its own.
     """
@@ -451,53 +449,48 @@ def newton_solve(
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
 
     u = u0.values.copy()
-    eta, mmin = _interior_eta(u, spec, "initial guess")
-    res = _residual_values(u, eta, spec)
+    eig = _eta_spectra(u, grid)
+    mmin, res = _evaluate(u, eig, spec, "initial guess")
     rnorm = float(np.abs(res).max())
-
     report = SolveReport()
+
+    def failure(reason):
+        report.residual_norm, report.final_margin = rnorm, mmin
+        return NonconvergenceError(f"{reason} at residual {rnorm:.3e}", report)
+
     for _ in range(opts.max_iter):
         if rnorm <= tol:
             break
-        mat = jacobian(ScalarField(grid, u), spec)
-        delta, krylov, fallback = _newton_direction(mat, -res.ravel(), preconditioner)
+        delta, krylov = _newton_direction(_jacobian(eig, spec), -res.ravel(), preconditioner)
+        if delta is None:
+            raise failure(f"GMRES missed its tolerance {_GMRES_RTOL:g} in {krylov} iterations")
         delta = delta.reshape(grid.shape)
 
         alpha, max_step = 1.0, None
         trials = cone_rejections = armijo_rejections = 0
-        accepted = False
-        while alpha >= opts.min_step:
+        while True:
+            if alpha < opts.min_step:
+                raise failure(f"line search underflow (step < {opts.min_step:g})")
             trials += 1
             trial = u + alpha * delta
-            eta_t = _eta_spectra(trial, grid)
+            eig_t = _eta_spectra(trial, grid)
             try:
-                mmin_t = _require_admissible(sigma_all(eta_t, spec.op.cone_order), "trial iterate", origin=1)
+                mmin_t, res_t = _evaluate(trial, eig_t, spec, "trial iterate")
             except ConeError:
                 cone_rejections += 1
                 if max_step is None:
-                    max_step = _max_admissible_step(u, delta, spec, alpha, eta, eta_t)
+                    max_step = _max_admissible_step(u, delta, spec, alpha, eig[0], eig_t[0])
                     alpha = _FRACTION_TO_BOUNDARY * max_step
                     continue
             else:
-                res_t = _residual_values(trial, eta_t, spec)
                 rnorm_t = float(np.abs(res_t).max())
                 if rnorm_t <= (1.0 - opts.armijo * alpha) * rnorm:
-                    accepted = True
                     break
                 armijo_rejections += 1
             alpha *= 0.5
-        if not accepted:
-            report.converged = False
-            report.residual_norm = rnorm
-            report.final_margin = mmin
-            raise NonconvergenceError(
-                f"line search underflow (step < {opts.min_step:g}) at residual {rnorm:.3e}", report
-            )
-        u, eta, res, rnorm, mmin = trial, eta_t, res_t, rnorm_t, mmin_t
+        u, eig, res, rnorm, mmin = trial, eig_t, res_t, rnorm_t, mmin_t
         report.iterations.append(
-            IterationRecord(
-                rnorm, alpha, mmin, krylov, fallback, trials, cone_rejections, armijo_rejections, max_step
-            )
+            IterationRecord(rnorm, alpha, mmin, krylov, trials, cone_rejections, armijo_rejections, max_step)
         )
 
     report.converged = bool(rnorm <= tol)
@@ -521,7 +514,8 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
     phi_t = (1-t) phi0 + t phi, warm-starting each stage from the previous
     solution.  Nonconverged stages halve the step, down to 1/256; if the
     target data already equals the start data the path collapses to the
-    single stage t = 1.
+    single stage t = 1.  The report's residual_norm and final_margin are
+    those of the last stage attempted, converged or not.
     """
     grid, op = spec.grid, spec.op
     spec0, u_start = manufactured_problem(paraboloid(grid.center), op, spec.beta, grid)
@@ -565,12 +559,12 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
             sol, stage_rep, ok = None, exc.report, False
         report.continuation.append(StageRecord(t, ok, len(stage_rep.iterations)))
         report.iterations.extend(stage_rep.iterations)
+        report.residual_norm = stage_rep.residual_norm
+        report.final_margin = stage_rep.final_margin
         if ok:
             u = sol.values
             t_prev = t
             i += 1
-            report.residual_norm = stage_rep.residual_norm
-            report.final_margin = stage_rep.final_margin
         else:
             step = 0.5 * (t - t_prev)
             if step < _MIN_CONTINUATION_STEP:

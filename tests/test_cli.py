@@ -38,6 +38,15 @@ def write_problem(tmp_path, doc, name="prob.json"):
     return path
 
 
+def strict_json(path):
+    """The JSON document at path, refusing NaN and Infinity as strict parsers do."""
+
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds the non-JSON constant {constant}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 def small_paraboloid_doc(m=9):
     return {
         "n": 3,
@@ -147,6 +156,35 @@ class TestSolve:
         assert code == 1
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False and report["continuation"]
+
+    def test_failed_run_writes_strict_json(self, tmp_path):
+        # no stage converges, so the report's norms come from the last attempted stage
+        doc = small_paraboloid_doc()
+        doc["psi"] = {"kind": "constant", "value": 40.0}
+        prob, out = write_problem(tmp_path, doc), tmp_path / "out"
+        assert main(["solve", "--problem", str(prob), "--out", str(out), "--max-iter", "1"]) == 1
+        report = strict_json(out / "report.json")
+        assert report["converged"] is False
+        assert report["residual_norm"] > 0 and report["final_margin"] > 0
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            {"kind": "constant", "value": 0.0},
+            {"kind": "expression", "expr": "12*(x1-0.5)^2"},
+            {"kind": "expression", "expr": "12*((x1-0.25)^2 + (x2-0.5)^2 + (x3-0.75)^2)"},
+        ],
+        ids=["psi-zero", "zero-plane", "off-center-zero-node"],
+    )
+    def test_degenerate_variant_of_psi_zero_17_stalls_with_exit_1(self, tmp_path, capsys, psi):
+        doc = json.loads((REPO / "problems" / "psi-zero-17.json").read_text(encoding="utf-8"))
+        doc["psi"] = psi
+        doc["box"]["m"] = 9
+        out = tmp_path / "out"
+        assert main(["solve", "--problem", str(write_problem(tmp_path, doc)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: continuation stalled")
+        assert strict_json(out / "report.json")["converged"] is False
 
     @pytest.mark.parametrize(
         "flag,value",

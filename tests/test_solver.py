@@ -1,5 +1,7 @@
 import math
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hessneumann.problem import build_case, load_problem, manufactured_problem, 
 from hessneumann.solver import (
     ContinuationError,
     NewtonOptions,
+    NonconvergenceError,
     continuation_solve,
     diagnostics,
     hessian_at,
@@ -202,24 +205,29 @@ class TestNewtonDirection:
         mat = jacobian(u, spec)
         rhs = -residual(u, spec).values.ravel()
         want = spla.splu(mat.tocsc()).solve(rhs)
-        got, iterations, fallback = solver._newton_direction(
-            mat, rhs, solver._LaplaceRobinLU(spec.grid, spec.beta)
-        )
-        assert not fallback and iterations > 1
+        got, iterations = solver._newton_direction(mat, rhs, solver._LaplaceRobinLU(spec.grid, spec.beta))
+        assert got is not None and iterations > 1
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
-    def test_gmres_failure_falls_back_to_direct_lu(self, monkeypatch):
+    def test_gmres_miss_ends_the_solve(self, monkeypatch):
         spec, u_star = build_case("perturbed-paraboloid", 9)
         grid = spec.grid
         u0 = ScalarField(grid, quadratic_field(grid, np.eye(3), np.zeros(3)).values)
-        sol_ref, rep_ref = newton_solve(u0, spec)
-        assert not any(r.direct_fallback for r in rep_ref.iterations)
+        factored = []
+        real_splu = solver.spla.splu
 
+        def splu(a, **kwargs):
+            factored.append(a.shape)
+            return real_splu(a, **kwargs)
+
+        monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
         monkeypatch.setattr(solver, "gmres", lambda a, b, **kwargs: (np.zeros_like(b), 1))
-        sol, rep = newton_solve(u0, spec)
-        assert rep.converged and rep.iterations
-        assert all(r.direct_fallback for r in rep.iterations)
-        assert np.abs(sol.values - sol_ref.values).max() < 1e-10
+        with pytest.raises(NonconvergenceError, match="GMRES") as info:
+            newton_solve(u0, spec)
+        rep = info.value.report
+        assert not rep.converged and rep.iterations == []
+        assert rep.residual_norm == np.abs(residual(u0, spec).values).max() and rep.final_margin > 0
+        assert len(factored) == 1  # the preconditioner, and no LU of the Jacobian
 
     def test_preconditioner_must_match_grid_and_beta(self):
         spec, u_star = paraboloid_spec(m=9)
@@ -248,7 +256,7 @@ def _first_step_outside(values, delta, spec):
     alpha = 1.0
     while alpha < 1e6:
         try:
-            solver._interior_eta(values + alpha * delta, spec, "probe")
+            residual(ScalarField(spec.grid, values + alpha * delta), spec)
         except ConeError:
             return alpha
         alpha *= 2.0
@@ -256,11 +264,11 @@ def _first_step_outside(values, delta, spec):
 
 
 def _bisect_max_step(values, delta, spec, alpha_out):
-    """Largest admissible step by bisection on _interior_eta itself, to float resolution."""
+    """Largest admissible step by bisection on residual's own cone check, to float resolution."""
     lo, hi = 0.0, alpha_out
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         try:
-            solver._interior_eta(values + mid * delta, spec, "probe")
+            residual(ScalarField(spec.grid, values + mid * delta), spec)
         except ConeError:
             hi = mid
         else:
@@ -287,12 +295,23 @@ class TestMaxAdmissibleStep:
             delta,
             spec,
             alpha_out,
-            solver._eta_spectra(values, spec.grid),
-            solver._eta_spectra(values + alpha_out * delta, spec.grid),
+            solver._eta_spectra(values, spec.grid)[0],
+            solver._eta_spectra(values + alpha_out * delta, spec.grid)[0],
         )
         assert 0.0 < want < alpha_out
         assert abs(got - want) <= 1e-8 * want
-        solver._interior_eta(values + solver._FRACTION_TO_BOUNDARY * got * delta, spec, "proposed step")
+        residual(ScalarField(spec.grid, values + solver._FRACTION_TO_BOUNDARY * got * delta), spec)
+
+
+class _Proxy:
+    """A module whose named attributes are replaced and whose others are delegated."""
+
+    def __init__(self, target, **overrides):
+        self._target = target
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
 
 
 class TestNewton:
@@ -311,9 +330,7 @@ class TestNewton:
         assert rep.iterations[0].step == 1.0
         # the preconditioner equals the k = 1 Jacobian up to its diagonal scaling
         assert rep.iterations[0].krylov_iterations == 1
-        assert rep.iterations[0].direct_fallback is False
-        record = rep.to_dict()["iterations"][0]
-        assert record["krylov_iterations"] == 1 and record["direct_fallback"] is False
+        assert rep.to_dict()["iterations"][0]["krylov_iterations"] == 1
 
     def test_uniqueness_from_distinct_starts(self):
         spec, u_star = paraboloid_spec(m=9)
@@ -339,6 +356,30 @@ class TestNewton:
         norms = [r.residual_norm for r in rep.iterations]
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert all(r.min_margin > 0 for r in rep.iterations)
+
+    def test_one_eigendecomposition_per_iterate(self, monkeypatch):
+        callers = {"eigh": [], "eigvalsh": []}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                callers[name].append(sys._getframe(1).f_code.co_name)
+                return real(*args, **kwargs)
+
+            return call
+
+        linalg = SimpleNamespace(eigh=counted("eigh"), eigvalsh=counted("eigvalsh"))
+        monkeypatch.setattr(solver, "np", _Proxy(np, linalg=linalg))
+        spec, u_star = build_case("perturbed-paraboloid", 9)
+        grid = spec.grid
+        u0 = ScalarField(grid, quadratic_field(grid, np.eye(3), np.zeros(3)).values)
+        sol, rep = newton_solve(u0, spec)
+        assert rep.converged and rep.iterations
+        assert all(r.max_step is None for r in rep.iterations)  # no clipped step samples the path
+        # the initial guess and every trial are decomposed once; the Jacobian reuses the accepted trial's
+        assert len(callers["eigh"]) == 1 + sum(r.trials for r in rep.iterations)
+        assert callers["eigvalsh"] == ["diagnostics"]
 
     def test_max_iter_reports_nonconvergence(self):
         spec, u_star = build_case("perturbed-paraboloid", 9)
