@@ -10,6 +10,7 @@ environment variable HN_THREADS caps sweep parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fieldio
-from .ellipticity import _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_plan, worker_count
+from .ellipticity import _CHUNK, _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_plan, worker_count
 from .ellipticity import run_sweep  # noqa: F401  (unused here; bench/tracing.py patches this binding)
 from .problem import _MAX_NODES, MANUFACTURED_CASES, ProblemFormatError, build_case, load_problem
 from .solver import NewtonOptions, NonconvergenceError, continuation_solve, newton_solve
@@ -28,8 +29,8 @@ __all__ = ["main", "entry"]
 
 _EXACT_FLOOR = 1e-10  # errors below this are at stencil-exactness level
 _MIN_ORDER = 1.7
-# sample-cone holds all count * n values, and their CSV text, in memory at
-# once: about 90 MB per million values
+# sample-cone writes at most this many values, about 23 bytes of CSV text
+# each; it holds one chunk of rows in memory at a time
 _MAX_SAMPLE_VALUES = 4_000_000
 
 
@@ -209,15 +210,14 @@ def _cmd_sample_cone(args) -> None:
         sampler = ConeSampler(args.n, args.k, args.seed, args.scale)
     except ValueError as exc:
         raise _Failure(2, str(exc)) from exc
-    eta = sampler.draw_batch(args.count)
-    lines = ["index," + ",".join(f"eta{i + 1}" for i in range(args.n))]
-    for i, row in enumerate(eta):
-        lines.append(f"{i}," + ",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text, encoding="utf-8")
+    out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    with out as fh:
+        fh.write("index," + ",".join(f"eta{i + 1}" for i in range(args.n)) + "\n")
+        # the stream is block-derived, so drawing it in chunks yields the same rows
+        for start in range(0, args.count, _CHUNK):
+            eta = sampler.draw_batch(min(_CHUNK, args.count - start))
+            rows = (f"{start + i}," + ",".join(f"{v:.17g}" for v in row) + "\n" for i, row in enumerate(eta))
+            fh.write("".join(rows))
 
 
 def main(argv=None) -> int:

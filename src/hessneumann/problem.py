@@ -230,9 +230,14 @@ class ProblemFormatError(ValueError):
 
 
 # 3-D m = 65 is the largest grid the solver is sized for.  Memory grows faster
-# than the node count (the preconditioner's sparse LU holds 7.4e6 nonzeros at
-# 3-D m = 33), so a larger grid would exhaust memory instead of being refused.
+# than the node count (the preconditioner's sparse LU holds 3.17e6 nonzeros at
+# 3-D m = 25 and 12.9e6 at m = 33), so a larger grid would exhaust memory
+# instead of being refused.
 _MAX_NODES = 65**3
+# The largest ratio of box spacings: beyond it the long axes' 1/h^2 stencil
+# weights fall below the rounding of the short axis' weight, and the
+# preconditioner is singular in float64.
+_MAX_ASPECT = np.finfo(float).eps ** -0.5
 
 
 def _number(value, what: str) -> float:
@@ -330,6 +335,12 @@ def load_problem(path) -> ProblemSpec:
         raise ProblemFormatError(f"invalid box: {exc}") from exc
     if grid.size > _MAX_NODES:
         raise ProblemFormatError(f"grid of {grid.m}^{grid.n} nodes exceeds the limit of {_MAX_NODES} nodes")
+    h = grid.h
+    if h.max() > _MAX_ASPECT * h.min():  # a product, so that the test cannot overflow
+        raise ProblemFormatError(
+            f"box spacings {h.min():.3g} and {h.max():.3g} differ by more than a factor of {_MAX_ASPECT:.3g}, "
+            "the most that float64 resolves in the stencil"
+        )
     n = _integer(doc, "n")
     if grid.n != n:
         raise ProblemFormatError(f"'n' = {n} does not match box dimension {grid.n}")

@@ -166,6 +166,27 @@ class TestSolve:
         report = strict_json(out / "report.json")
         assert report["converged"] is False
         assert report["residual_norm"] > 0 and report["final_margin"] > 0
+        assert report["preconditioner_nnz"] > 0 and report["preconditioner_factor_s"] > 0
+
+    def test_report_records_the_preconditioner(self, tmp_path):
+        doc = small_paraboloid_doc()
+        doc["psi"] = {"kind": "constant", "value": 13.0}
+        prob, out = write_problem(tmp_path, doc), tmp_path / "out"
+        assert main(["solve", "--problem", str(prob), "--out", str(out)]) == 0
+        report = strict_json(out / "report.json")
+        assert report["converged"] is True
+        assert isinstance(report["preconditioner_nnz"], int) and report["preconditioner_nnz"] > 9**3
+        assert report["preconditioner_factor_s"] > 0
+
+    @pytest.mark.parametrize("thin", [1e-160, 1e-200])
+    def test_extreme_box_aspect_ratio_exits_2(self, tmp_path, capsys, thin):
+        doc = json.loads((REPO / "problems" / "psi-zero-17.json").read_text(encoding="utf-8"))
+        doc["box"].update(m=9, hi=[1.0, 1.0, thin])
+        out = tmp_path / "out"
+        assert main(["solve", "--problem", str(write_problem(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: box spacings")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "psi",
@@ -272,6 +293,19 @@ class TestSampleCone:
         lines = a.read_text().strip().splitlines()
         assert lines[0] == "index,eta1,eta2,eta3"
         assert len(lines) == 51
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_chunked_csv_equals_one_block(self, tmp_path, capsys, monkeypatch, to_stdout):
+        from hessneumann.ellipticity import sample_block
+
+        monkeypatch.setattr(cli, "_CHUNK", 7)
+        out = tmp_path / "s.csv"
+        argv = ["sample-cone", "--n", "3", "--k", "2", "--count", "50", "--seed", "5", "--scale", "2"]
+        assert main(argv + ([] if to_stdout else ["--out", str(out)])) == 0
+        got = capsys.readouterr().out if to_stdout else out.read_text(encoding="utf-8")
+        block = sample_block(3, 2, 5, 2.0, 0, 50)
+        rows = [f"{i}," + ",".join(f"{v:.17g}" for v in row) for i, row in enumerate(block)]
+        assert got == "\n".join(["index,eta1,eta2,eta3", *rows]) + "\n"
 
     def test_samples_are_in_cone(self, tmp_path):
         out = tmp_path / "s.csv"

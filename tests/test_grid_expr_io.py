@@ -254,6 +254,16 @@ class TestProblemFiles:
         with pytest.raises(ProblemFormatError, match="exceeds the limit"):
             load_problem(_write_problem(tmp_path, doc))
 
+    def test_box_aspect_ratio_is_bounded_by_float64(self, tmp_path):
+        # spacings 0.125 and 1.25e-8 (a ratio of 1e7) load; at 1.25e-9 (1e8) the
+        # short axis' 1/h^2 swamps the others beyond float64 rounding
+        doc = _valid_doc()
+        doc["box"]["hi"] = [1, 1e-7]
+        assert load_problem(_write_problem(tmp_path, doc)).grid.h[1] == pytest.approx(1.25e-8)
+        doc["box"]["hi"] = [1, 1e-8]
+        with pytest.raises(ProblemFormatError, match="differ by more than a factor of 6.71e"):
+            load_problem(_write_problem(tmp_path, doc))
+
 
 _JSON_LEAF = st.one_of(
     st.none(),

@@ -174,6 +174,22 @@ class TestLaplaceRobin:
         core = spec.grid.flat_index()[spec.grid.interior()].ravel()
         assert np.diff(mat.indptr)[core].max() == 2 * 3 + 1
 
+    @pytest.mark.parametrize("n,m", [(2, 33), (3, 9), (3, 17)])
+    @pytest.mark.parametrize("stretch", [1.0, 10.0, 0.01])
+    @pytest.mark.parametrize("beta", [1e-6, 1.0, 1e6])
+    def test_preconditioner_lu_pivots_on_the_diagonal(self, n, m, stretch, beta):
+        grid = BoxGrid((0.0,) * n, (1.0,) * (n - 1) + (stretch,), m)
+        pre = solver._LaplaceRobinLU(grid, beta)
+        pre.solver(np.ones(grid.size))
+        lu, mat = pre.lu, laplace_robin(grid, beta).tocsc()
+        assert (lu.perm_r == lu.perm_c).all()
+        b = np.random.default_rng(m).standard_normal(grid.size)
+        x = lu.solve(b)
+        backward = np.abs(mat @ x - b).max() / (spla.norm(mat, np.inf) * np.abs(x).max() + np.abs(b).max())
+        assert backward <= 1e-13
+        if (n, m) == (3, 17):
+            assert lu.nnz < spla.splu(mat).nnz  # below the default COLAMD ordering's fill
+
 
 def mid_continuation_iterate(spec):
     """Solution of the halfway stage of continuation_solve(spec), as the next stage's start."""
