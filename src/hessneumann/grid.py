@@ -28,8 +28,9 @@ class BoxGrid:
             raise ValueError("lo and hi must have the same length")
         if len(self.lo) not in (2, 3):
             raise ValueError("only dimensions 2 and 3 are supported")
-        if not all(np.isfinite(a) and np.isfinite(b) and a < b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("lo and hi must be finite, and hi must exceed lo on every axis")
+        # a finite b - a (Python floats, so an overflow to inf does not warn) also makes a and b finite
+        if not all(a < b and np.isfinite(b - a) for a, b in zip(self.lo, self.hi)):
+            raise ValueError("lo and hi must be finite, and hi must exceed lo by a finite length on every axis")
         if self.m < 9 or self.m % 2 == 0:
             raise ValueError("m must be odd and at least 9")
 

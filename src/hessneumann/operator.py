@@ -18,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import _as_values, _require_in_gamma, sigma_all, sigma_grad
+from .symfun import ConeError, _as_values, _require_in_gamma, sigma_grad
+from .symfun import sigma_all  # noqa: F401  (unused here; bench/tracing.py patches this binding)
 
 __all__ = [
     "OperatorSpec",
     "eta_from_lambda",
     "lambda_from_eta",
     "eta_matrix",
+    "newton_tensors",
     "f_value",
     "f_grad",
     "f_grad_matrix",
@@ -102,15 +104,49 @@ def eta_matrix(r) -> np.ndarray:
     return tr[..., None, None] * np.eye(n) - arr
 
 
+def newton_tensors(s, c: int):
+    """(sigma_0..sigma_c of s's eigenvalues stacked as by sigma_all, [T_0 .. T_{c-1}]) without eigenvalues.
+
+    The Faddeev-LeVerrier recurrence T_0 = I, sigma_i = trace(s T_{i-1}) / i,
+    T_i = sigma_i I - s T_{i-1} on symmetric s; T_{i-1} = d sigma_i / d s is
+    the Newton tensor (Reilly 1973).  sigma_c costs max(0, c - 2) matrix products.
+    """
+    s = np.asarray(s, dtype=float)
+    eye = np.eye(s.shape[-1])
+    e = np.ones(s.shape[:-2] + (c + 1,))
+    tensors = [eye]
+    for i in range(1, c + 1):
+        e[..., i] = np.einsum("...ij,...ji->...", s, tensors[-1]) / i
+        if i < c:
+            tensors.append(e[..., i, None, None] * eye - (s if i == 1 else s @ tensors[-1]))
+    return e, tensors
+
+
+def _grad_from_tensors(e: np.ndarray, tensors: list, spec: OperatorSpec) -> np.ndarray:
+    """dF/dr = trace(a) I - a from eta(r)'s newton_tensors; a = df/d eta = f'(sigma_k) T_{k-1}, or its quotient form."""
+    k, l = spec.k, spec.l
+    if l is None:
+        coef = (1.0 / k) * e[..., k] ** (1.0 / k - 1.0)
+        a = coef[..., None, None] * tensors[k - 1]
+    else:
+        sk, sl = e[..., k, None, None], e[..., l, None, None]
+        w = (tensors[k - 1] * sl - sk * tensors[l - 1]) / sl**2
+        a = (1.0 / spec.degree) * (sk / sl) ** (1.0 / spec.degree - 1.0) * w
+    return eta_matrix(a)  # the transform is its own adjoint in the Frobenius pairing
+
+
 def value_at_eta(eta, spec: OperatorSpec):
     """Normalized operator value from the transformed eigenvalues eta."""
     vals = _as_values(eta)
-    e = _require_in_gamma(vals, spec.cone_order, "operator value")
-    if spec.l is None:
-        out = e[..., spec.k] ** (1.0 / spec.k)
-    else:
-        out = (e[..., spec.k] / e[..., spec.l]) ** (1.0 / spec.degree)
+    out = _value_from_sigmas(_require_in_gamma(vals, spec.cone_order, "operator value"), spec)
     return float(out) if vals.ndim == 1 else out
+
+
+def _value_from_sigmas(e: np.ndarray, spec: OperatorSpec) -> np.ndarray:
+    """The normalized operator from a table e of sigma_0..sigma_c (c >= spec.cone_order)."""
+    if spec.l is None:
+        return e[..., spec.k] ** (1.0 / spec.k)
+    return (e[..., spec.k] / e[..., spec.l]) ** (1.0 / spec.degree)
 
 
 def grad_at_eta(eta, spec: OperatorSpec) -> np.ndarray:
@@ -147,23 +183,20 @@ def f_grad(lam, spec: OperatorSpec) -> np.ndarray:
 def f_grad_matrix(r, spec: OperatorSpec) -> np.ndarray:
     """Derivative of F(r) = f(eigenvalues of r) with respect to the entries of r.
 
-    Built from the spectral decomposition of eta_matrix(r): the eta-level
-    gradient is conjugated back and run through the transform again, so the
-    result satisfies dF = <f_grad_matrix(r), dr> in the Frobenius pairing.
-    At diagonal r this is diagonal with the entries of f_grad.
+    Built from the Newton tensors of eta_matrix(r), so no eigendecomposition
+    is needed; the result satisfies dF = <f_grad_matrix(r), dr> in the
+    Frobenius pairing.  At diagonal r this is diagonal with the entries of
+    f_grad.  Raises ConeError unless eta_matrix(r) lies in the open cone.
     """
-    s = eta_matrix(r)
-    w, q = np.linalg.eigh(s)
-    g = grad_at_eta(w, spec)
-    a = np.einsum("...ij,...j,...kj->...ik", q, g, q)
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    return tr[..., None, None] * np.eye(a.shape[-1]) - a
+    e, tensors = newton_tensors(eta_matrix(r), spec.cone_order)
+    if not (e[..., 1:] > 0.0).all():
+        raise ConeError(f"operator gradient: eta_matrix(r) outside the order-{spec.cone_order} cone")
+    return _grad_from_tensors(e, tensors, spec)
 
 
 def admissible(r, spec: OperatorSpec):
     """Whether eta_matrix(r)'s spectrum lies in the required cone, plus margin."""
-    w = np.linalg.eigvalsh(eta_matrix(r))
-    m = np.min(sigma_all(w, spec.cone_order)[..., 1:], axis=-1)
+    m = np.min(newton_tensors(eta_matrix(r), spec.cone_order)[0][..., 1:], axis=-1)
     if np.asarray(r).ndim == 2:
         return bool(m > 0.0), float(m)
     return m > 0.0, m

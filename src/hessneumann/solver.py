@@ -7,6 +7,10 @@ The unknown is the full grid field including boundary values, so the Jacobian
 is square.  Damped Newton keeps every accepted iterate strictly admissible;
 the continuation driver walks the data from an exactly solvable paraboloid
 problem to the target.
+
+Cone checks, residual, Jacobian and the step to the cone boundary read only
+sigma_1..sigma_c of the interior eta-matrices and their Newton tensors, from
+operator.newton_tensors; ``diagnostics`` is the one eigenvalue computation.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .grid import BoxGrid, ScalarField
-from .operator import grad_at_eta, value_at_eta
+from .operator import _grad_from_tensors, _value_from_sigmas, newton_tensors
+from .operator import grad_at_eta  # noqa: F401  (unused here, like sigma_all; bench/tracing.py patches both)
 from .problem import ProblemSpec, _require_admissible, _robin_data, manufactured_problem, paraboloid
-from .symfun import ConeError, sigma_all
+from .symfun import ConeError, sigma_all  # noqa: F401
 
 __all__ = [
     "NewtonOptions",
@@ -229,45 +234,45 @@ def _interior_hessians(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
     return out
 
 
-def _eta_spectra(values: np.ndarray, grid: BoxGrid):
-    """eigh of trace(H) I - H at all interior nodes: (eigenvalues eta, eigenvectors)."""
-    hess = _interior_hessians(values, grid)
+def _eta_tensors(values: np.ndarray, spec: ProblemSpec):
+    """newton_tensors of eta = trace(H) I - H at all interior nodes, up to the cone order: (sigma table, tensors)."""
+    hess = _interior_hessians(values, spec.grid)
     tr = np.trace(hess, axis1=-2, axis2=-1)
-    return np.linalg.eigh(tr[..., None, None] * np.eye(grid.n) - hess)
+    return newton_tensors(tr[..., None, None] * np.eye(spec.grid.n) - hess, spec.op.cone_order)
 
 
-def _evaluate(values: np.ndarray, eig, spec: ProblemSpec, what: str):
-    """(least cone margin, residual) at values, whose interior eta spectra are eig = _eta_spectra(values).
+def _evaluate(values: np.ndarray, sig, spec: ProblemSpec, what: str):
+    """(least cone margin, residual) at values, whose interior eta tensors are sig = _eta_tensors(values).
 
     Raises ConeError at the worst node unless every interior node is strictly
     admissible.
     """
-    margin = _require_admissible(sigma_all(eig[0], spec.op.cone_order), what, origin=1)
+    margin = _require_admissible(sig[0], what, origin=1)
     grid = spec.grid
     out = _robin_data(grid, spec.beta, values, _gradient(values, grid)) - spec.phi.values
     core = grid.interior()
-    out[core] = value_at_eta(eig[0], spec.op) - spec.psi_tilde()[core]
+    out[core] = _value_from_sigmas(sig[0], spec.op) - spec.psi_tilde()[core]
     return margin, out
 
 
 def _max_admissible_step(
-    values: np.ndarray, delta: np.ndarray, spec: ProblemSpec, alpha_out: float, eta_in, eta_out
+    values: np.ndarray, delta: np.ndarray, spec: ProblemSpec, alpha_out: float, e_in, e_out
 ) -> float:
     """Largest alpha in [0, alpha_out] with values + alpha * delta strictly admissible, to float resolution.
 
-    eta_in and eta_out are the interior eta spectra at alpha = 0 (admissible)
-    and at alpha_out (not).  The eta-matrix is affine in alpha, so sigma_i of
-    its eigenvalues is a polynomial of degree i: sampling sigma_1..sigma_c at
+    e_in and e_out are the interior sigma_0..sigma_c tables at alpha = 0
+    (admissible) and at alpha_out (not).  The eta-matrix is affine in alpha,
+    so each sigma_i is a polynomial of degree i: sampling sigma_1..sigma_c at
     c + 1 evenly spaced steps fixes every coefficient.  The constant term is
-    taken exactly from eta_in, so alpha = 0 stays admissible.  The cone is
+    taken exactly from e_in, so alpha = 0 stays admissible.  The cone is
     convex, so the steps at which every polynomial is positive at every node
     form an interval from 0; bisecting on that predicate finds its end without
-    another eigendecomposition.
+    evaluating another iterate.
     """
     c = spec.op.cone_order
     s = np.arange(c + 1) / c  # alpha / alpha_out
-    inner = [_eta_spectra(values + (alpha_out * x) * delta, spec.grid)[0] for x in s[1:-1]]
-    e = np.stack([sigma_all(eta, c)[..., 1:] for eta in (eta_in, *inner, eta_out)])
+    inner = [_eta_tensors(values + (alpha_out * x) * delta, spec)[0] for x in s[1:-1]]
+    e = np.stack([table[..., 1:] for table in (e_in, *inner, e_out)])
     coef = np.empty_like(e)  # coef[q] multiplies s**q
     coef[0] = e[0]
     vander = s[1:, None] ** np.arange(1, c + 1)
@@ -295,23 +300,20 @@ def _max_admissible_step(
 
 def residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """Equation residual at every node; raises ConeError on any inadmissible node."""
-    _, res = _evaluate(u.values, _eta_spectra(u.values, spec.grid), spec, "iterate")
+    _, res = _evaluate(u.values, _eta_tensors(u.values, spec), spec, "iterate")
     return ScalarField(spec.grid, res)
 
 
 def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
-    """Sparse derivative of the residual with respect to every nodal value."""
-    return _jacobian(_eta_spectra(u.values, spec.grid), spec)
+    """Sparse derivative of the residual with respect to every nodal value; raises ConeError off the cone."""
+    sig = _eta_tensors(u.values, spec)
+    _require_admissible(sig[0], "iterate", origin=1)
+    return _jacobian(sig, spec)
 
 
-def _jacobian(eig, spec: ProblemSpec) -> sp.csr_matrix:
-    """The Jacobian at an iterate whose interior eta spectra are eig = (eta, eigenvectors)."""
-    eta, q = eig
-    g = grad_at_eta(eta, spec.op)
-    a = np.einsum("...ij,...j,...kj->...ik", q, g, q)
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    fw = tr[..., None, None] * np.eye(spec.grid.n) - a  # dF/dr at each interior node
-    return _assemble(spec.grid, spec.beta, fw)
+def _jacobian(sig, spec: ProblemSpec) -> sp.csr_matrix:
+    """The Jacobian at an admissible iterate whose interior eta tensors are sig = _eta_tensors(values)."""
+    return _assemble(spec.grid, spec.beta, _grad_from_tensors(*sig, spec.op))
 
 
 def laplace_robin(grid: BoxGrid, beta: float) -> sp.csr_matrix:
@@ -446,15 +448,22 @@ def newton_solve(
     strictly admissible at every interior node and the residual sup norm
     satisfies the Armijo decrease.  The first trial that leaves the cone is
     followed by one at _FRACTION_TO_BOUNDARY times the largest admissible
-    step, and halving resumes from there.  Each iterate is decomposed once:
-    the accepted trial's eigenvectors build the next Jacobian.  Terminates at
-    opts.tol (residual sup norm) or opts.max_iter; returns (solution, report)
-    with report.converged telling which.  A GMRES run that misses its
+    step, and halving resumes from there.  No iterate is eigendecomposed:
+    the accepted trial's Newton tensors build the next Jacobian.  Terminates
+    at opts.tol (residual sup norm) or opts.max_iter; returns (solution,
+    report) with report.converged telling which.  A GMRES run that misses its
     tolerance, or a line-search step below opts.min_step, raises
-    NonconvergenceError.  ``preconditioner`` shares that
-    LU between calls on the same grid and beta (continuation_solve passes one
-    to all its stages); by default each call factors its own.
+    NonconvergenceError.  ``preconditioner`` shares that LU between calls on
+    the same grid and beta (continuation_solve passes one to all its stages);
+    by default each call factors its own.
     """
+    solution, report = _newton(u0, spec, opts, preconditioner)
+    report.diagnostics = diagnostics(solution)
+    return solution, report
+
+
+def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, preconditioner: _LaplaceRobinLU | None):
+    """newton_solve without the diagnostics, which continuation_solve needs for its final solution only."""
     opts = opts or NewtonOptions()
     grid = spec.grid
     if u0.grid != grid:
@@ -467,8 +476,8 @@ def newton_solve(
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
 
     u = u0.values.copy()
-    eig = _eta_spectra(u, grid)
-    mmin, res = _evaluate(u, eig, spec, "initial guess")
+    sig = _eta_tensors(u, spec)
+    mmin, res = _evaluate(u, sig, spec, "initial guess")
     rnorm = float(np.abs(res).max())
     report = SolveReport()
 
@@ -479,7 +488,7 @@ def newton_solve(
     for _ in range(opts.max_iter):
         if rnorm <= tol:
             break
-        delta, krylov = _newton_direction(_jacobian(eig, spec), -res.ravel(), preconditioner)
+        delta, krylov = _newton_direction(_jacobian(sig, spec), -res.ravel(), preconditioner)
         if delta is None:
             raise failure(f"GMRES missed its tolerance {_GMRES_RTOL:g} in {krylov} iterations")
         delta = delta.reshape(grid.shape)
@@ -491,13 +500,13 @@ def newton_solve(
                 raise failure(f"line search underflow (step < {opts.min_step:g})")
             trials += 1
             trial = u + alpha * delta
-            eig_t = _eta_spectra(trial, grid)
+            sig_t = _eta_tensors(trial, spec)
             try:
-                mmin_t, res_t = _evaluate(trial, eig_t, spec, "trial iterate")
+                mmin_t, res_t = _evaluate(trial, sig_t, spec, "trial iterate")
             except ConeError:
                 cone_rejections += 1
                 if max_step is None:
-                    max_step = _max_admissible_step(u, delta, spec, alpha, eig[0], eig_t[0])
+                    max_step = _max_admissible_step(u, delta, spec, alpha, sig[0], sig_t[0])
                     alpha = _FRACTION_TO_BOUNDARY * max_step
                     continue
             else:
@@ -506,7 +515,7 @@ def newton_solve(
                     break
                 armijo_rejections += 1
             alpha *= 0.5
-        u, eig, res, rnorm, mmin = trial, eig_t, res_t, rnorm_t, mmin_t
+        u, sig, res, rnorm, mmin = trial, sig_t, res_t, rnorm_t, mmin_t
         report.iterations.append(
             IterationRecord(rnorm, alpha, mmin, krylov, trials, cone_rejections, armijo_rejections, max_step)
         )
@@ -514,9 +523,7 @@ def newton_solve(
     report.converged = bool(rnorm <= tol)
     report.residual_norm = rnorm
     report.final_margin = mmin
-    solution = ScalarField(grid, u)
-    report.diagnostics = diagnostics(solution)
-    return solution, report
+    return ScalarField(grid, u), report
 
 
 def _default_targets() -> list[float]:
@@ -571,7 +578,7 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
             ScalarField(grid, (1.0 - t) * phi0 + t * phi1),
         )
         try:
-            sol, stage_rep = newton_solve(ScalarField(grid, u), stage_spec, opts, preconditioner)
+            sol, stage_rep = _newton(ScalarField(grid, u), stage_spec, opts, preconditioner)
             ok = stage_rep.converged
         except NonconvergenceError as exc:
             sol, stage_rep, ok = None, exc.report, False

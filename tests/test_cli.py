@@ -188,6 +188,16 @@ class TestSolve:
         assert len(err) == 1 and err[0].startswith("error: box spacings")
         assert not out.exists()
 
+    def test_overflowing_box_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # hi - lo = 2e308 overflows to inf; it is refused before numpy warns about it
+        doc = json.loads((REPO / "problems" / "psi-zero-17.json").read_text(encoding="utf-8"))
+        doc["box"].update(m=9, lo=[-1e308] * 3, hi=[1e308] * 3)
+        out = tmp_path / "out"
+        assert main(["solve", "--problem", str(write_problem(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid box: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "psi",
         [

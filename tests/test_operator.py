@@ -13,8 +13,9 @@ from hessneumann.operator import (
     f_grad_matrix,
     f_value,
     lambda_from_eta,
+    newton_tensors,
 )
-from hessneumann.symfun import ConeError
+from hessneumann.symfun import ConeError, sigma_all, sigma_grad
 
 
 def admissible_lambdas(n, k, count, seed, quotient=False):
@@ -81,6 +82,37 @@ class TestEtaMatrix:
         bad = np.array([[1.0, 2.0], [2.1, 1.0]])
         with pytest.raises(ValueError):
             eta_matrix(bad)
+
+
+def _eta_batch(n, c, case, rng, count=200):
+    """Symmetric eta-matrices in the order-c cone with eigenvectors in general position."""
+    if case == "random":
+        w = sample_block(n, c, seed=int(rng.integers(1 << 30)), scale=1.0, start=0, count=count)
+    elif case == "rank-one-near-boundary":  # 10 e_1 + 1e-8: sigma_2 .. sigma_n of order 1e-7 and below
+        w = np.broadcast_to(np.r_[10.0, np.zeros(n - 1)] + 1e-8, (count, n))
+    else:  # "cone-vertex": entries ~1e-11, as at the psi-zero-17 center node
+        w = 1e-11 * (1.0 + 1e-3 * rng.standard_normal((count, n)))
+    q = np.stack([random_orthogonal(n, rng) for _ in range(count)])
+    return np.einsum("pij,pj,pkj->pik", q, w, q)
+
+
+class TestNewtonTensors:
+    @pytest.mark.parametrize("case", ["random", "rank-one-near-boundary", "cone-vertex"])
+    @pytest.mark.parametrize("n,c", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_matches_the_eigendecomposition(self, n, c, case):
+        eta = _eta_batch(n, c, case, np.random.default_rng(10 * n + c))
+        e, tensors = newton_tensors(eta, c)
+        lam, q = np.linalg.eigh(eta)
+        scale = np.abs(lam).max(axis=-1)
+        assert e.shape == (len(eta), c + 1) and len(tensors) == c
+        for i in range(c + 1):
+            err = np.abs(e[:, i] - sigma_all(lam, c)[:, i])
+            assert (err <= 1e-13 * math.comb(n, i) * scale**i).all()
+        for i, t in enumerate(tensors):
+            # T_i = d sigma_{i+1} / d eta = Q diag(sigma_i(lam | j)) Q^T
+            want = np.einsum("pij,pj,pkj->pik", q, sigma_grad(lam, i + 1), q)
+            err = np.abs(t - want).max(axis=(-2, -1))
+            assert (err <= 1e-13 * scale**i).all()
 
 
 class TestOperatorSpec:
@@ -214,6 +246,13 @@ class TestGradientMatrix:
             lhs = f_grad_matrix(q @ r @ q.T, spec)
             rhs = q @ f_grad_matrix(r, spec) @ q.T
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+    def test_outside_the_cone_raises(self):
+        with pytest.raises(ConeError):
+            f_grad_matrix(-np.eye(3), OperatorSpec(3, 1))
+        with pytest.raises(ConeError):
+            f_grad_matrix(np.diag([10.0, 0.0, 0.0]), OperatorSpec(3, 2, 1))  # sigma_3(eta) = 0
 
 
 class TestAdmissible:

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from hessneumann import solver
 from hessneumann.fieldio import read_field_binary
 from hessneumann.grid import BoxGrid, ScalarField
-from hessneumann.operator import OperatorSpec
+from hessneumann.operator import OperatorSpec, eta_matrix, grad_at_eta
 from hessneumann.problem import build_case, load_problem, manufactured_problem, paraboloid, perturbed_paraboloid
 from hessneumann.solver import (
     ContinuationError,
@@ -162,6 +162,31 @@ class TestJacobian:
         assert per_row.max() <= 3**3 + 2
 
 
+def _eigh_jacobian(u, spec):
+    """The Jacobian through the eigendecomposition: dF/dr = trace(a) I - a with a = Q diag(grad_at_eta) Q^T."""
+    hess = solver._interior_hessians(u.values, spec.grid)
+    lam, q = np.linalg.eigh(eta_matrix(hess))
+    a = np.einsum("...ij,...j,...kj->...ik", q, grad_at_eta(lam, spec.op), q)
+    fw = np.trace(a, axis1=-2, axis2=-1)[..., None, None] * np.eye(spec.grid.n) - a
+    return solver._assemble(spec.grid, spec.beta, fw)
+
+
+class TestNewtonTensorJacobian:
+    @pytest.mark.parametrize("n,k,l", [(2, 1, None), (3, 1, None), (3, 2, None), (3, 2, 1)])
+    def test_matches_the_eigendecomposition(self, n, k, l):
+        grid = BoxGrid((0.0,) * n, (1.0,) * (n - 1) + (1.5,), 9)
+        spec, u_star = manufactured_problem(perturbed_paraboloid(n, 0.05), OperatorSpec(n, k, l), 1.0, grid)
+        rng = np.random.default_rng(n + 10 * k)
+        u = ScalarField(grid, u_star.values + 1e-3 * rng.standard_normal(grid.shape))
+        want = _eigh_jacobian(u, spec)
+        assert abs(jacobian(u, spec) - want).max() <= 1e-13 * abs(want).max()
+
+    def test_inadmissible_iterate_named_by_node(self):
+        spec, u_star = paraboloid_spec(m=9)
+        with pytest.raises(ConeError, match="iterate inadmissible at node"):
+            jacobian(ScalarField(spec.grid, -u_star.values), spec)
+
+
 class TestLaplaceRobin:
     def test_equals_k1_jacobian(self):
         spec, u_star = build_case("perturbed-paraboloid-2d", 9)
@@ -311,8 +336,8 @@ class TestMaxAdmissibleStep:
             delta,
             spec,
             alpha_out,
-            solver._eta_spectra(values, spec.grid)[0],
-            solver._eta_spectra(values + alpha_out * delta, spec.grid)[0],
+            solver._eta_tensors(values, spec)[0],
+            solver._eta_tensors(values + alpha_out * delta, spec)[0],
         )
         assert 0.0 < want < alpha_out
         assert abs(got - want) <= 1e-8 * want
@@ -373,29 +398,39 @@ class TestNewton:
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert all(r.min_margin > 0 for r in rep.iterations)
 
-    def test_one_eigendecomposition_per_iterate(self, monkeypatch):
-        callers = {"eigh": [], "eigvalsh": []}
+    def test_no_eigendecomposition_per_iterate(self, monkeypatch):
+        spec, u_star = build_case("perturbed-paraboloid", 9)
+        grid = spec.grid
+        u0 = ScalarField(grid, quadratic_field(grid, np.eye(3), np.zeros(3)).values)
+        staged = psi_zero_spec(m=9)
+        callers = {"eigh": [], "eigvalsh": [], "diagnostics": []}
 
-        def counted(name):
-            real = getattr(np.linalg, name)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
             def call(*args, **kwargs):
                 callers[name].append(sys._getframe(1).f_code.co_name)
                 return real(*args, **kwargs)
 
-            return call
+            monkeypatch.setattr(owner, name, call)
 
-        linalg = SimpleNamespace(eigh=counted("eigh"), eigvalsh=counted("eigvalsh"))
-        monkeypatch.setattr(solver, "np", _Proxy(np, linalg=linalg))
-        spec, u_star = build_case("perturbed-paraboloid", 9)
-        grid = spec.grid
-        u0 = ScalarField(grid, quadratic_field(grid, np.eye(3), np.zeros(3)).values)
+        # every caller of numpy's eigensolvers is seen, not only the solver module's
+        counted(np.linalg, "eigh")
+        counted(np.linalg, "eigvalsh")
         sol, rep = newton_solve(u0, spec)
-        assert rep.converged and rep.iterations
-        assert all(r.max_step is None for r in rep.iterations)  # no clipped step samples the path
-        # the initial guess and every trial are decomposed once; the Jacobian reuses the accepted trial's
-        assert len(callers["eigh"]) == 1 + sum(r.trials for r in rep.iterations)
-        assert callers["eigvalsh"] == ["diagnostics"]
+        assert rep.converged and rep.iterations and rep.diagnostics is not None
+        assert callers == {"eigh": [], "eigvalsh": ["diagnostics"], "diagnostics": []}
+
+        # a multi-stage continuation with clipped steps: the stages skip the diagnostics
+        counted(solver, "diagnostics")
+        callers["eigvalsh"].clear()
+        sol, rep = continuation_solve(staged)
+        assert rep.converged and len(rep.continuation) > 1
+        assert any(r.max_step is not None for r in rep.iterations)
+        # manufactured_problem builds the paraboloid start data once; then no stage decomposes
+        want = {"eigh": [], "eigvalsh": ["manufactured_problem", "diagnostics"], "diagnostics": ["continuation_solve"]}
+        assert callers == want
+        assert rep.diagnostics == diagnostics(sol)
 
     def test_max_iter_reports_nonconvergence(self):
         spec, u_star = build_case("perturbed-paraboloid", 9)
