@@ -69,8 +69,13 @@ def sigma_all(lam, kmax: int) -> np.ndarray:
 
 
 def sigma(lam, k: int):
-    """k-th elementary symmetric polynomial of the spectrum; sigma_0 = 1."""
-    return sigma_all(lam, k)[..., k]
+    """k-th elementary symmetric polynomial of the spectrum; sigma_0 = 1.
+
+    The entries are sorted before the recurrence, so every permutation of a
+    spectrum gives the same float.  sigma_all and the deleted variants run the
+    recurrence in the given order and may differ from it in the last bits.
+    """
+    return sigma_all(np.sort(_as_values(lam), axis=-1), k)[..., k]
 
 
 def sigma_excl(lam, k: int, i: int):
@@ -81,7 +86,7 @@ def sigma_excl(lam, k: int, i: int):
         raise ValueError(f"index i={i} outside [0, {n})")
     tmp = vals.copy()
     tmp[..., i] = 0.0
-    return sigma(tmp, k)
+    return sigma_all(tmp, k)[..., k]
 
 
 def sigma_excl2(lam, k: int, i: int, j: int):
@@ -95,7 +100,7 @@ def sigma_excl2(lam, k: int, i: int, j: int):
     tmp = vals.copy()
     tmp[..., i] = 0.0
     tmp[..., j] = 0.0
-    return sigma(tmp, k)
+    return sigma_all(tmp, k)[..., k]
 
 
 def sigma_grad(lam, k: int) -> np.ndarray:
@@ -108,7 +113,7 @@ def sigma_grad(lam, k: int) -> np.ndarray:
     for i in range(n):
         tmp = vals.copy()
         tmp[..., i] = 0.0
-        out[..., i] = sigma(tmp, k - 1)
+        out[..., i] = sigma_all(tmp, k - 1)[..., k - 1]
     return out
 
 
