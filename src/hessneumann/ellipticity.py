@@ -17,6 +17,13 @@ last two bounds; sweeps therefore report empirical infima and assert only
 sign/bound facts.  Sweeps are deterministic given (n, k, seed, scale): sample
 generators are derived from (seed, block index) in fixed-size blocks, so any
 chunking of the work, serial or threaded, reproduces the identical stream.
+A draw is shifted into the cone before it is scaled, so the stream at any
+scale is the scale-1 stream times the scale.
+
+All sweeps on one (n, cone order) stream share its work: each chunk is drawn
+once and walked in blocks, and per block the sigma tables, the deleted tables
+and the operator gradients are built once and read by every sweep of the
+group.  They are the floats the public functions below compute on the block.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .operator import OperatorSpec, f_grad, lambda_from_eta
-from .symfun import ConeError, _as_values, _require_in_gamma, sigma_all, sigma_grad
+from .operator import OperatorSpec, _grad_from_sigmas, _lam_grad, eta_from_lambda, f_grad, lambda_from_eta
+from .symfun import ConeError, _as_values, _check_in_gamma, _deleted_sigmas, _require_in_gamma, _sigma_rows, sigma_all
+from .symfun import sigma_grad  # noqa: F401  (unused here; bench/tracing.py patches this binding)
 
 __all__ = [
     "ConeSampler",
@@ -54,9 +62,9 @@ __all__ = [
 
 _BLOCK = 4096  # samples per derived generator; fixed so chunking never changes the stream
 _BISECT_TOL = 1e-10
-# The shift t grows like scale / 10 at k = 6.  From a scale of a few million
-# on, float64 cannot resolve the bisection's absolute tolerance at t, so larger
-# scales are refused.  1e6 runs clean with 100000 samples at n <= 6.
+_MARGIN = 1e-6  # sigma margin of the unscaled shifted draw; the scale multiplies afterwards
+# The largest scale the sweeps are run and tested at (100000 samples, n <= 6).
+# Far beyond it the sigma_k of a sample leave the float64 range.
 _MAX_SCALE = 1e6
 
 
@@ -90,18 +98,24 @@ def _block_normals(seed: int, n: int, start: int, count: int) -> np.ndarray:
     return out
 
 
-def _shift_into_cone(g: np.ndarray, k: int, scale: float) -> np.ndarray:
-    """Smallest t >= 0 with all sigma_i(g + t*ones) > 1e-6 * scale**i, per row.
+def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
+    """Smallest t >= 0 with all sigma_i(g + t*ones) > 1e-6, per row of the unscaled draw g.
 
     Bisection to absolute tolerance 1e-10 on the predicate-true endpoint, or
     until float64 cannot halve the bracket any more; each row's trajectory is
-    independent of the batch it is evaluated in.
+    independent of the batch it is evaluated in.  The predicate runs the sigma
+    recurrence on g transposed once, through buffers reused by every call.
     """
-    n = g.shape[-1]
-    delta = 1e-6 * scale ** np.arange(1, k + 1)
+    gt = np.ascontiguousarray(g.T)
+    shifted = np.empty_like(gt)
+    e = np.empty((k + 1, g.shape[0]))
 
     def pred(t):
-        return np.all(sigma_all(g + t[:, None], k)[..., 1:] > delta, axis=-1)
+        _sigma_rows(np.add(gt, t, out=shifted), k, e)
+        ok = e[1] > _MARGIN
+        for q in range(2, k + 1):
+            ok &= e[q] > _MARGIN
+        return ok
 
     t0 = np.zeros(g.shape[0])
     done = pred(t0)
@@ -130,7 +144,7 @@ def sample_block(n: int, k: int, seed: int, scale: float, start: int, count: int
     """Samples [start, start+count) of the deterministic cone stream, shape (count, n)."""
     _require_scale(scale)
     g = _block_normals(seed, n, start, count)
-    t = _shift_into_cone(g, k, scale)
+    t = _shift_into_cone(g, k)
     return scale * (g + t[:, None])
 
 
@@ -139,9 +153,10 @@ class ConeSampler:
     """Deterministic stream of spectra strictly inside the order-k cone.
 
     A standard-normal draw is shifted along the diagonal ray by the smallest
-    nonnegative amount that clears a small sigma margin, then scaled.  Raw
-    draws already inside the cone are kept as they are, so the stream covers
-    both near-boundary and deep-interior points.
+    nonnegative amount that clears a small sigma margin, then scaled; the
+    shift does not depend on the scale.  Raw draws already inside the cone
+    are kept as they are, so the stream covers both near-boundary and
+    deep-interior points.
     """
 
     n: int
@@ -178,17 +193,24 @@ def deleted_term_share(eta, k: int):
     """
     vals = _as_values(eta)
     _require_in_gamma(vals, k, "deleted_term_share")
-    s = -np.sort(-vals, axis=-1)
-    table = sigma_grad(s, k)
-    out = table[..., k - 1] / table.sum(axis=-1)
+    out = _share(_deleted_sigmas(-np.sort(-vals, axis=-1), k - 1), k)
     return float(out) if vals.ndim == 1 else out
+
+
+def _share(d: np.ndarray, k: int) -> np.ndarray:
+    """deleted_term_share from the deleted table d of the descending spectrum."""
+    table = d[..., k - 1]
+    return table[..., k - 1] / table.sum(axis=-1)
 
 
 def ellipticity_ratio(lam, spec: OperatorSpec):
     """min_i f_i / sum_i f_i for the operator's gradient; in (0, 1/n], scale-free."""
-    fg = f_grad(lam, spec)
-    out = fg.min(axis=-1) / fg.sum(axis=-1)
+    out = _min_share(f_grad(lam, spec))
     return float(out) if np.asarray(lam).ndim == 1 else out
+
+
+def _min_share(fg: np.ndarray) -> np.ndarray:
+    return fg.min(axis=-1) / fg.sum(axis=-1)
 
 
 def maclaurin_bound(n: int, k: int, l: int) -> float:
@@ -210,17 +232,18 @@ def maclaurin_ratio(eta, k: int, l: int, p: int | None = None):
     if not 1 <= l < k <= n - 1:
         raise ValueError(f"need 1 <= l < k <= n-1, got (k, l) = ({k}, {l})")
     _require_in_gamma(vals, k + 1, "maclaurin_ratio")
-    tk = sigma_grad(vals, k + 1)  # sigma_k  (eta | p)
-    tk1 = sigma_grad(vals, k)  # sigma_{k-1}(eta | p)
-    tl0 = sigma_grad(vals, l)  # sigma_{l-1}(eta | p)
-    tl = sigma_grad(vals, l + 1)  # sigma_l  (eta | p)
-    alpha = (tk / tk1) * (tl0 / tl)
+    alpha = _alpha(_deleted_sigmas(vals, k), k, l)
     if p is None:
         return alpha
     if not 0 <= p < n:
         raise ValueError(f"index p={p} outside [0, {n})")
     out = alpha[..., p]
     return float(out) if vals.ndim == 1 else out
+
+
+def _alpha(d: np.ndarray, k: int, l: int) -> np.ndarray:
+    """maclaurin_ratio at every deleted index p from the deleted table d[..., p, j] = sigma_j(eta | p)."""
+    return (d[..., k] / d[..., k - 1]) * (d[..., l - 1] / d[..., l])
 
 
 def trace_lower_bound(n: int, k: int) -> float:
@@ -242,6 +265,7 @@ def trace_check(lam, spec: OperatorSpec):
 # ---------------------------------------------------------------------------
 
 _CHUNK = 20000
+_SUB_BLOCK = 2048  # rows per _Tables; bounds the memory of the shared tables
 
 
 @dataclass
@@ -284,35 +308,85 @@ class SweepReport:
         )
 
 
-def _deleted_term_share_slack(eta, n, k, l):
-    ratio = deleted_term_share(eta, k)
-    return ratio, eta, int((ratio < -1e-12).sum()), {}
+class _Tables:
+    """Spectra and sigma tables of one block of stream samples, each built on first use.
+
+    The spectra are "eta" (the samples), "sorted" (eta descending), "lam" =
+    lambda_from_eta(eta), "tilde" = eta_from_lambda(lam) and "tilde10" =
+    eta_from_lambda(10 lam).  Each has its sigma_0..sigma_c, its deleted table
+    and its f_grad per operator; every sweep of the block's group reads them.
+    """
+
+    def __init__(self, eta: np.ndarray, c: int):
+        self.c = c
+        self._memo = {"eta": eta}
+
+    def _cached(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def spectra(self, name: str) -> np.ndarray:
+        build = {
+            "sorted": lambda: -np.sort(-self.spectra("eta"), axis=-1),
+            "lam": lambda: lambda_from_eta(self.spectra("eta")),
+            "tilde": lambda: eta_from_lambda(self.spectra("lam")),
+            "tilde10": lambda: eta_from_lambda(10.0 * self.spectra("lam")),
+        }
+        return self._cached(name, build.get(name))
+
+    def sigmas(self, name: str) -> np.ndarray:
+        return self._cached(("sigmas", name), lambda: sigma_all(self.spectra(name), self.c))
+
+    def require(self, name: str, what: str) -> None:
+        """Raise what _require_in_gamma(spectra(name), c, what) would raise, if anything."""
+        _check_in_gamma(self.sigmas(name), what)
+
+    def deleted(self, name: str) -> np.ndarray:
+        """d[..., i, j] = sigma_j(x | i) of x = spectra(name), for j <= c - 1."""
+        return self._cached(("deleted", name), lambda: _deleted_sigmas(self.spectra(name), self.c - 1))
+
+    def f_grad(self, name: str, spec: OperatorSpec) -> np.ndarray:
+        """f_grad at the lam whose transform is spectra(name)."""
+
+        def build():
+            return _lam_grad(_grad_from_sigmas(self.sigmas(name), self.deleted(name), spec))
+
+        return self._cached(("f_grad", name, spec), build)
 
 
-def _ellipticity_ratio_slack(eta, n, k, l):
+def _deleted_term_share_slack(t: _Tables, n, k, l):
+    t.require("eta", "deleted_term_share")
+    ratio = _share(t.deleted("sorted"), k)
+    return ratio, t.spectra("eta"), int((ratio < -1e-12).sum()), {}
+
+
+def _ellipticity_ratio_slack(t: _Tables, n, k, l):
     spec = OperatorSpec(n, k, l)
-    lam = lambda_from_eta(eta)
-    fg = f_grad(lam, spec)
-    ratio = fg.min(axis=-1) / fg.sum(axis=-1)
-    ratio10 = ellipticity_ratio(10.0 * lam, spec)
+    t.require("tilde", "operator gradient")
+    fg = t.f_grad("tilde", spec)
+    ratio = _min_share(fg)
+    t.require("tilde10", "operator gradient")
+    ratio10 = _min_share(t.f_grad("tilde10", spec))
     pos_bad = int((fg.min(axis=-1) <= 0.0).sum())
     scale_bad = int((np.abs(ratio - ratio10) > 1e-12).sum())
-    return ratio, lam, pos_bad + scale_bad, {"positivity_violations": pos_bad, "scale_violations": scale_bad}
+    return ratio, t.spectra("lam"), pos_bad + scale_bad, {"positivity_violations": pos_bad, "scale_violations": scale_bad}
 
 
-def _maclaurin_ratio_slack(eta, n, k, l):
-    alpha = maclaurin_ratio(eta, k, l)
+def _maclaurin_ratio_slack(t: _Tables, n, k, l):
+    t.require("eta", "maclaurin_ratio")
+    alpha = _alpha(t.deleted("eta"), k, l)
     slack = np.minimum(alpha, maclaurin_bound(n, k, l) - alpha).min(axis=-1)
-    return slack, eta, int((slack < -1e-12).sum()), {"max_alpha": float(alpha.max())}
+    return slack, t.spectra("eta"), int((slack < -1e-12).sum()), {"max_alpha": float(alpha.max())}
 
 
-def _trace_bound_slack(eta, n, k, l):
-    lam = lambda_from_eta(eta)
-    slack = f_grad(lam, OperatorSpec(n, k)).sum(axis=-1) - trace_lower_bound(n, k)
-    return slack, lam, int((slack < -1e-10).sum()), {}
+def _trace_bound_slack(t: _Tables, n, k, l):
+    t.require("tilde", "operator gradient")
+    slack = t.f_grad("tilde", OperatorSpec(n, k)).sum(axis=-1) - trace_lower_bound(n, k)
+    return slack, t.spectra("lam"), int((slack < -1e-10).sum()), {}
 
 
-# family -> (slack evaluator on one chunk of eta, cone order - k, tolerance, bound(n, k, l) kept in extra)
+# family -> (slack evaluator on one block's _Tables, cone order - k, tolerance, bound(n, k, l) kept in extra)
 _FAMILIES = {
     "deleted-term-share": (_deleted_term_share_slack, 0, 1e-12, None),
     "ellipticity-ratio": (_ellipticity_ratio_slack, 0, 1e-12, None),
@@ -326,13 +400,16 @@ def run_plan(plan, *, samples, seed, scale=1.0, workers=None) -> list[SweepRepor
     """Run planned (family, n, k, l) sweeps; the reports come back in plan order.
 
     Sweeps that sample the same (n, cone order) stream form one group.  Each
-    chunk of that stream is drawn once, by one task that evaluates every sweep
-    of the group on it; all tasks share one thread pool.  Each sweep's chunk
-    results are then reduced in chunk order, so a report does not depend on
-    the plan it ran in or on the worker count.
+    chunk of that stream is drawn once, by one task that walks it in blocks of
+    _SUB_BLOCK rows and evaluates every sweep of the group on each block's
+    shared tables; all tasks share one thread pool.  Each sweep's block results
+    are then reduced in stream order, so a report does not depend on the plan
+    it ran in, on the worker count or on the block size.
     """
     if samples <= 0:
         raise ValueError("empty sweep: samples must be positive")
+    if not plan:
+        return []
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (family, n, k, l) in enumerate(plan):
         if family not in _FAMILIES:
@@ -345,38 +422,42 @@ def run_plan(plan, *, samples, seed, scale=1.0, workers=None) -> list[SweepRepor
         t0 = time.perf_counter()
         eta = sample_block(key[0], key[1], seed, scale, start, count)
         draw_share = (time.perf_counter() - t0) / len(members)
-        out = []
-        for i in members:
-            family, n, k, l = plan[i]
-            t0 = time.perf_counter()
-            try:
-                slack, rows, viol, extra = _FAMILIES[family][0](eta, n, k, l)
-            except ConeError as exc:
-                out.append(exc)
-                continue
-            # NaN and +inf pass every family's `slack < -tol` test; count them
-            # here and rank every non-finite slack lowest, so argmin names it
-            finite = np.isfinite(slack)
-            if not finite.all():
-                viol += int((np.isnan(slack) | (slack == np.inf)).sum())
-                slack = np.where(finite, slack, -np.inf)
-            j = int(np.argmin(slack))
-            # floats, not a view: rows[j] would keep the whole chunk alive
-            dt = draw_share + time.perf_counter() - t0
-            out.append((float(slack[j]), [float(x) for x in rows[j]], viol, extra, dt))
+        out = [[] for _ in members]
+        for a in range(0, count, _SUB_BLOCK):
+            tables = _Tables(eta[a : a + _SUB_BLOCK], key[1])
+            for i, results in zip(members, out):
+                if results and isinstance(results[-1], ConeError):
+                    continue
+                family, n, k, l = plan[i]
+                t0 = time.perf_counter()
+                try:
+                    slack, rows, viol, extra = _FAMILIES[family][0](tables, n, k, l)
+                except ConeError as exc:
+                    results.append(exc)
+                    continue
+                # NaN and +inf pass every family's `slack < -tol` test; count them
+                # here and rank every non-finite slack lowest, so argmin names it
+                finite = np.isfinite(slack)
+                if not finite.all():
+                    viol += int((np.isnan(slack) | (slack == np.inf)).sum())
+                    slack = np.where(finite, slack, -np.inf)
+                j = int(np.argmin(slack))
+                # floats, not a view: rows[j] would keep the whole chunk alive
+                dt = time.perf_counter() - t0 + (draw_share if a == 0 else 0.0)
+                results.append((float(slack[j]), [float(x) for x in rows[j]], viol, extra, dt))
         return out
 
     with ThreadPoolExecutor(max_workers=min(worker_count(workers), len(tasks))) as ex:
         done = list(ex.map(lambda t: task(*t), tasks))
-    chunks: list[list] = [[] for _ in plan]
+    blocks: list[list] = [[] for _ in plan]
     for (_, members, _, _), results in zip(tasks, done):
-        for i, result in zip(members, results):
-            chunks[i].append(result)
-    return [_reduce(entry, results, samples, seed, scale) for entry, results in zip(plan, chunks)]
+        for i, member_results in zip(members, results):
+            blocks[i].extend(member_results)
+    return [_reduce(entry, results, samples, seed, scale) for entry, results in zip(plan, blocks)]
 
 
 def _reduce(entry, results, samples, seed, scale) -> SweepReport:
-    """One sweep's report from its chunk results, taken in chunk order."""
+    """One sweep's report from its block results, taken in stream order."""
     family, n, k, l = entry
     _, _, tol, bound = _FAMILIES[family]
     min_ratio, argmin, violations, wall_time, extra = math.inf, None, 0, 0.0, {}

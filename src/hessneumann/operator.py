@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import ConeError, _as_values, _require_in_gamma, sigma_grad
-from .symfun import sigma_all  # noqa: F401  (unused here; bench/tracing.py patches this binding)
+from .symfun import ConeError, _as_values, _deleted_sigmas, _require_in_gamma
+from .symfun import sigma_all, sigma_grad  # noqa: F401  (unused here; bench/tracing.py patches these bindings)
 
 __all__ = [
     "OperatorSpec",
@@ -153,13 +153,18 @@ def grad_at_eta(eta, spec: OperatorSpec) -> np.ndarray:
     """Entrywise derivative of the normalized operator with respect to eta."""
     vals = _as_values(eta)
     e = _require_in_gamma(vals, spec.cone_order, "operator gradient")
+    return _grad_from_sigmas(e, _deleted_sigmas(vals, spec.k - 1), spec)
+
+
+def _grad_from_sigmas(e: np.ndarray, d: np.ndarray, spec: OperatorSpec) -> np.ndarray:
+    """grad_at_eta from eta's table e of sigma_0..sigma_c and its deleted table d[..., i, j] = sigma_j(eta | i)."""
     k, l = spec.k, spec.l
-    tk = sigma_grad(vals, k)  # sigma_{k-1}(eta | i)
+    tk = d[..., k - 1]  # sigma_{k-1}(eta | i)
     if l is None:
         coef = (1.0 / k) * e[..., k] ** (1.0 / k - 1.0)
         return coef[..., None] * tk
     sk, sl = e[..., k], e[..., l]
-    tl0 = sigma_grad(vals, l)  # sigma_{l-1}(eta | i)
+    tl0 = d[..., l - 1]  # sigma_{l-1}(eta | i)
     w = (tk * sl[..., None] - sk[..., None] * tl0) / sl[..., None] ** 2
     coef = (1.0 / spec.degree) * (sk / sl) ** (1.0 / spec.degree - 1.0)
     return coef[..., None] * w
@@ -176,7 +181,11 @@ def f_grad(lam, spec: OperatorSpec) -> np.ndarray:
     Entry i is the sum over p != i of the eta-gradient entries, all of which
     are nonnegative on the admissible cone, so f_grad >= 0 entrywise.
     """
-    g = grad_at_eta(eta_from_lambda(lam), spec)
+    return _lam_grad(grad_at_eta(eta_from_lambda(lam), spec))
+
+
+def _lam_grad(g: np.ndarray) -> np.ndarray:
+    """Gradient with respect to lam from the gradient g with respect to eta = eta_from_lambda(lam)."""
     return g.sum(axis=-1, keepdims=True) - g
 
 

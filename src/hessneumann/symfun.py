@@ -49,6 +49,26 @@ def _as_values(lam) -> np.ndarray:
     return arr
 
 
+def _sigma_rows(vt: np.ndarray, kmax: int, out: np.ndarray) -> np.ndarray:
+    """sigma_0 .. sigma_kmax of each column of vt (n, m), written into the rows of out (kmax+1, m).
+
+    The coefficient recurrence of expanding prod_i (t + v_i), one entry at a
+    time on contiguous rows: O(n*kmax), numerically stable, and sigma_q does
+    not depend on kmax.
+    """
+    out[0] = 1.0
+    out[1:] = 0.0
+    tmp = np.empty(vt.shape[1])
+    for j in range(vt.shape[0]):
+        v = vt[j]
+        for q in range(min(j + 1, kmax), 1, -1):
+            np.multiply(v, out[q - 1], out=tmp)
+            np.add(out[q], tmp, out=out[q])
+        if kmax:
+            np.add(out[1], v, out=out[1])  # v * sigma_0 is v exactly
+    return out
+
+
 def sigma_all(lam, kmax: int) -> np.ndarray:
     """All of sigma_0 .. sigma_kmax, stacked along a new last axis.
 
@@ -59,13 +79,23 @@ def sigma_all(lam, kmax: int) -> np.ndarray:
     n = vals.shape[-1]
     if not 0 <= kmax <= n:
         raise ValueError(f"order kmax={kmax} outside [0, {n}]")
-    out = np.zeros(vals.shape[:-1] + (kmax + 1,))
-    out[..., 0] = 1.0
-    for j in range(n):
-        v = vals[..., j]
-        for q in range(min(j + 1, kmax), 0, -1):
-            out[..., q] += v * out[..., q - 1]
-    return out
+    vt = np.ascontiguousarray(vals.reshape(-1, n).T)
+    out = _sigma_rows(vt, kmax, np.empty((kmax + 1, vt.shape[1])))
+    return np.ascontiguousarray(out.T).reshape(vals.shape[:-1] + (kmax + 1,))
+
+
+def _deleted_sigmas(vals: np.ndarray, jmax: int) -> np.ndarray:
+    """d[..., i, j] = sigma_j(vals | i), entry i zeroed, for 0 <= j <= jmax.
+
+    One recurrence over the n copies of each spectrum with one entry zeroed;
+    each d[..., j] is a contiguous array shaped like vals.
+    """
+    n = vals.shape[-1]
+    flat = vals.reshape(-1, n)
+    z = np.repeat(flat.T[:, :, None], n, axis=2)  # z[j, r, i] = flat[r, j]
+    z[np.arange(n), :, np.arange(n)] = 0.0
+    out = _sigma_rows(z.reshape(n, -1), jmax, np.empty((jmax + 1, z[0].size)))
+    return np.moveaxis(out.reshape((jmax + 1,) + vals.shape), 0, -1)
 
 
 def sigma(lam, k: int):
@@ -109,12 +139,7 @@ def sigma_grad(lam, k: int) -> np.ndarray:
     n = vals.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"order k={k} outside [1, {n}]")
-    out = np.empty_like(vals)
-    for i in range(n):
-        tmp = vals.copy()
-        tmp[..., i] = 0.0
-        out[..., i] = sigma_all(tmp, k - 1)[..., k - 1]
-    return out
+    return _deleted_sigmas(vals, k - 1)[..., k - 1]
 
 
 def in_gamma(lam, k: int):
@@ -140,6 +165,13 @@ def cone_margin(lam, k: int):
 def _require_in_gamma(vals: np.ndarray, k: int, what: str) -> np.ndarray:
     """Return sigma_0..sigma_k, raising ConeError on the first violation."""
     e = sigma_all(vals, k)
+    _check_in_gamma(e, what)
+    return e
+
+
+def _check_in_gamma(e: np.ndarray, what: str) -> None:
+    """Raise ConeError at the first sample of the table e = sigma_0..sigma_k with some sigma_i <= 0."""
+    k = e.shape[-1] - 1
     bad = e[..., 1:] <= 0.0
     if bad.any():
         flat = bad.reshape(-1, k)
@@ -152,7 +184,6 @@ def _require_in_gamma(vals: np.ndarray, k: int, what: str) -> np.ndarray:
             order=order,
             value=value,
         )
-    return e
 
 
 def newton_maclaurin_gap(lam, k: int, l: int, r: int, s: int):

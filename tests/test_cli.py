@@ -93,14 +93,22 @@ class TestVerifyLemmas:
 
     def test_cone_error_names_the_offending_sweep(self, tmp_path, capsys, monkeypatch):
         from hessneumann import ellipticity
-        from hessneumann.symfun import ConeError
 
-        def outside(eta, k, l):
-            raise ConeError("maclaurin_ratio: sigma_3 = -1 <= 0", order=3, value=-1.0)
+        real = ellipticity._Tables.sigmas
 
-        monkeypatch.setattr(ellipticity, "maclaurin_ratio", outside)
+        def outside(self, name):
+            # sigma_3 of the first sample reads -1 in the order-3 table of the samples themselves
+            e = real(self, name)
+            if name == "eta" and self.c == 3:
+                e = e.copy()
+                e[0, 3] = -1.0
+            return e
+
+        monkeypatch.setattr(ellipticity._Tables, "sigmas", outside)
         assert main(["verify-lemmas", "--n-max", "3", "--samples", "50", "--out", str(tmp_path)]) == 1
-        assert "error: maclaurin-ratio n=3 k=2 l=1: a sample left the cone" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: maclaurin-ratio n=3 k=2 l=1: a sample left the cone" in err
+        assert "maclaurin_ratio: sigma_3 = -1 <= 0, spectrum outside the order-3 cone" in err
 
     @pytest.mark.parametrize("threads", ["abc", "2.5", "1e3"])
     def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, threads):

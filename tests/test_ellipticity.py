@@ -24,8 +24,43 @@ from hessneumann.ellipticity import (
     trace_check,
     trace_lower_bound,
 )
-from hessneumann.operator import OperatorSpec, lambda_from_eta
+from hessneumann.operator import OperatorSpec, f_grad, lambda_from_eta
 from hessneumann.symfun import ConeError, cone_margin, in_gamma
+
+
+def textbook_sigmas(vals, kmax):
+    """sigma_0..sigma_kmax by the coefficient recurrence, written out plainly."""
+    out = np.zeros(vals.shape[:-1] + (kmax + 1,))
+    out[..., 0] = 1.0
+    for j in range(vals.shape[-1]):
+        for q in range(min(j + 1, kmax), 0, -1):
+            out[..., q] += vals[..., j] * out[..., q - 1]
+    return out
+
+
+def bisection_oracle(g, k, margin=1e-6, tol=1e-10):
+    """Reference for _shift_into_cone: the same bisection, on the textbook recurrence with fresh arrays."""
+
+    def pred(t):
+        return np.all(textbook_sigmas(g + t[:, None], k)[..., 1:] > margin, axis=-1)
+
+    done = pred(np.zeros(len(g)))
+    hi = np.ones(len(g))
+    while (~done).any():
+        grow = ~done & ~pred(hi)
+        if not grow.any():
+            break
+        hi[grow] *= 2.0
+    lo = np.zeros(len(g))
+    active = ~done
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        active = active & (mid != lo) & (mid != hi)
+        ok = pred(mid)
+        hi = np.where(active & ok, mid, hi)
+        lo = np.where(active & ~ok, mid, lo)
+        active = active & ((hi - lo) > tol)
+    return np.where(done, 0.0, hi)
 
 
 class TestSampler:
@@ -73,11 +108,24 @@ class TestSampler:
             sample_block(3, 2, seed=1, scale=1e8, start=0, count=5)
 
     def test_shift_ends_where_float64_cannot_resolve_the_tolerance(self):
-        # at this scale the shift is about 1e7, where one ulp exceeds the bisection tolerance
-        g = np.random.default_rng(3).standard_normal((4, 6))
-        t = _shift_into_cone(g, 6, 1e8)
+        # for a draw of size 1e8 the shift is about 1e8, where one ulp exceeds the bisection tolerance
+        g = 1e8 * np.random.default_rng(3).standard_normal((4, 6))
+        t = _shift_into_cone(g, 6)
         assert np.isfinite(t).all() and (t > 1e6).all()
         assert in_gamma(g + t[:, None], 6).all()
+
+    def test_stream_equals_the_bisection_oracle(self):
+        for n in range(2, 7):
+            for k in range(1, n + 1):
+                g = ellipticity._block_normals(8, n, 100, 300)
+                want = g + bisection_oracle(g, k)[:, None]
+                assert np.array_equal(sample_block(n, k, seed=8, scale=1.0, start=100, count=300), want)
+
+    @pytest.mark.parametrize("scale", [0.5, 1e-2, 1e-6, 1e6])
+    def test_shift_does_not_depend_on_the_scale(self, scale):
+        for n, k in ((2, 1), (4, 3), (6, 4), (6, 6)):
+            unit = sample_block(n, k, seed=6, scale=1.0, start=0, count=300)
+            assert np.array_equal(sample_block(n, k, seed=6, scale=scale, start=0, count=300), scale * unit)
 
     def test_coverage_near_boundary_and_interior(self):
         eta = ConeSampler(3, 2, seed=7).draw_batch(10000)
@@ -224,15 +272,18 @@ class TestRunPlan:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_same_reports_as_single_sweeps(self, monkeypatch, workers):
         assert {family for family, *_ in self.PLAN} == set(ellipticity._FAMILIES)
+        unsplit = run_plan(self.PLAN, samples=1900, seed=37, workers=workers)
         monkeypatch.setattr(ellipticity, "_CHUNK", 700)  # 1900 samples: chunks of 700, 700 and 500
-        reports = run_plan(self.PLAN, samples=1900, seed=37, workers=workers)
-        assert len(reports) == len(self.PLAN)
-        for (family, n, k, l), rep in zip(self.PLAN, reports):
-            alone = run_sweep(family, n, k, l, samples=1900, seed=37, workers=workers)
-            assert (rep.label, rep.n, rep.k, rep.l) == (family, n, k, l)
-            assert rep.csv_row() == alone.csv_row()
-            assert _json_without_wall_time(rep) == _json_without_wall_time(alone)
-            assert rep.wall_time > 0
+        for sub_block in (7, 700):
+            monkeypatch.setattr(ellipticity, "_SUB_BLOCK", sub_block)
+            reports = run_plan(self.PLAN, samples=1900, seed=37, workers=workers)
+            assert len(reports) == len(self.PLAN)
+            for (family, n, k, l), rep, whole in zip(self.PLAN, reports, unsplit):
+                alone = run_sweep(family, n, k, l, samples=1900, seed=37, workers=workers)
+                assert (rep.label, rep.n, rep.k, rep.l) == (family, n, k, l)
+                assert rep.csv_row() == alone.csv_row() == whole.csv_row()
+                assert _json_without_wall_time(rep) == _json_without_wall_time(alone) == _json_without_wall_time(whole)
+                assert rep.wall_time > 0
 
     def test_one_draw_per_stream_chunk(self, monkeypatch):
         monkeypatch.setattr(ellipticity, "_CHUNK", 700)
@@ -251,21 +302,19 @@ class TestRunPlan:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cone_error_names_the_first_failing_sweep(self, monkeypatch, workers):
-        real = ellipticity.maclaurin_ratio
-
-        def outside_at_n4(eta, k, l):
-            if eta.shape[-1] == 4:
-                raise ConeError("maclaurin_ratio: sigma_3 = -1 <= 0", order=3, value=-1.0)
-            return real(eta, k, l)
-
-        monkeypatch.setattr(ellipticity, "maclaurin_ratio", outside_at_n4)
-        with pytest.raises(ConeError, match="maclaurin-ratio n=4 k=2 l=1: a sample left the cone") as info:
+        outside_eta_cone(monkeypatch, n=4)
+        message = (
+            "maclaurin-ratio n=4 k=2 l=1: a sample left the cone: "
+            "maclaurin_ratio: sigma_3 = -1 <= 0, spectrum outside the order-3 cone"
+        )
+        with pytest.raises(ConeError, match=message) as info:
             run_plan(default_sweep_plan(4), samples=100, seed=1, workers=workers)
-        assert info.value.order == 3
+        assert (info.value.order, info.value.value) == (3, -1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_slack_is_a_violation(self, monkeypatch, bad):
-        def bad_at_sample_3(eta, n, k, l):
+        def bad_at_sample_3(tables, n, k, l):
+            eta = tables.spectra("eta")
             slack = np.arange(len(eta), dtype=float)
             slack[3] = bad
             return slack, eta, 0, {}
@@ -279,3 +328,54 @@ class TestRunPlan:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown sweep family"):
             run_plan([("nope", 3, 2, None)], samples=10, seed=1)
+
+    def test_empty_plan_has_no_reports(self):
+        assert run_plan([], samples=10, seed=1) == []
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e6])
+    def test_far_scales_stay_in_the_cone(self, scale):
+        # a margin of 1e-6 * scale**i on the unscaled draw sinks below round-off here: sigma_4 = -1.6e-21
+        rep = run_sweep("ellipticity-ratio-quotient", 6, 3, 1, samples=100000, seed=42, scale=scale)
+        assert rep.violations == 0 and rep.min_ratio > 0
+
+
+def outside_eta_cone(monkeypatch, n):
+    """Make sigma_3 of the first sample read -1 in every order-3 sigma table of the samples of size n."""
+    real = ellipticity._Tables.sigmas
+
+    def sigmas(self, name):
+        e = real(self, name)
+        if name == "eta" and (self.c, self.spectra("eta").shape[-1]) == (3, n):
+            e = e.copy()
+            e[0, 3] = -1.0
+        return e
+
+    monkeypatch.setattr(ellipticity._Tables, "sigmas", sigmas)
+
+
+class TestSharedTables:
+    """Every family evaluated on one block's shared tables equals the public functions on that block."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_evaluators_equal_the_public_functions(self, n):
+        plan = default_sweep_plan(n)
+        for c in range(1, n + 1):
+            members = [(f, m, k, l) for f, m, k, l in plan if m == n and k + ellipticity._FAMILIES[f][1] == c]
+            if not members:
+                continue
+            eta = sample_block(n, c, seed=5, scale=1.0, start=0, count=400)
+            tables = ellipticity._Tables(eta, c)
+            lam = lambda_from_eta(eta)
+            for family, _, k, l in members:
+                slack, rows, _, _ = ellipticity._FAMILIES[family][0](tables, n, k, l)
+                if family == "deleted-term-share":
+                    want = deleted_term_share(eta, k)
+                elif family.startswith("ellipticity-ratio"):
+                    want = ellipticity_ratio(lam, OperatorSpec(n, k, l))
+                elif family == "maclaurin-ratio":
+                    alpha = maclaurin_ratio(eta, k, l)
+                    want = np.minimum(alpha, maclaurin_bound(n, k, l) - alpha).min(axis=-1)
+                else:
+                    want = f_grad(lam, OperatorSpec(n, k)).sum(axis=-1) - trace_lower_bound(n, k)
+                assert np.array_equal(slack, want), (family, n, k, l)
+                assert np.array_equal(rows, eta if family in ("deleted-term-share", "maclaurin-ratio") else lam)

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from hessneumann.symfun import (
     ConeError,
+    _deleted_sigmas,
     cone_margin,
     in_gamma,
     newton_maclaurin_gap,
     sigma,
     sigma_excl,
     sigma_excl2,
+    sigma_all,
     sigma_grad,
 )
 
@@ -32,6 +34,32 @@ def sigma_brute_scale(values, k):
 
 
 spectra = st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=7)
+
+
+def textbook_sigmas(vals, kmax):
+    """sigma_0..sigma_kmax by the coefficient recurrence, written out plainly."""
+    out = np.zeros(vals.shape[:-1] + (kmax + 1,))
+    out[..., 0] = 1.0
+    for j in range(vals.shape[-1]):
+        for q in range(min(j + 1, kmax), 0, -1):
+            out[..., q] += vals[..., j] * out[..., q - 1]
+    return out
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def spectra_with_zeros(shape, n, seed):
+    """Normal draws over ten decades, with exact zeros and negative zeros mixed in."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(shape + (n,)) * 10.0 ** rng.integers(-5, 5, shape + (n,))
+    vals[rng.random(vals.shape) < 0.2] = 0.0
+    vals[rng.random(vals.shape) < 0.1] = -0.0
+    return vals
+
+
+BATCH_SHAPES = [(), (9,), (3, 4)]
 
 
 class TestSigma:
@@ -82,6 +110,13 @@ class TestSigma:
             sigma([1.0], 1)
         with pytest.raises(ValueError):
             sigma([1.0, np.nan], 1)
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_sigma_all_is_the_textbook_recurrence_bit_for_bit(self, shape):
+        for n in range(2, 7):
+            vals = spectra_with_zeros(shape, n, seed=n)
+            for kmax in range(n + 1):
+                assert bitwise_equal(sigma_all(vals, kmax), textbook_sigmas(vals, kmax)), (n, kmax)
 
     @given(spectra)
     @settings(max_examples=100, deadline=None)
@@ -155,6 +190,19 @@ class TestGradient:
                     dn[i] -= h
                     fd = (sigma(up, k) - sigma(dn, k)) / (2.0 * h)
                     assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", BATCH_SHAPES)
+    def test_deleted_table_is_the_textbook_recurrence_per_deleted_entry(self, shape):
+        for n in range(2, 7):
+            vals = spectra_with_zeros(shape, n, seed=10 + n)
+            d = _deleted_sigmas(vals, n - 1)
+            assert d.shape == shape + (n, n)
+            for i in range(n):
+                kept = vals.copy()
+                kept[..., i] = 0.0
+                assert bitwise_equal(d[..., i, :], textbook_sigmas(kept, n - 1)), (n, i)
+            for j in range(n):
+                assert bitwise_equal(d[..., j], sigma_grad(vals, j + 1)), (n, j)
 
 
 class TestCone:
