@@ -365,10 +365,11 @@ def _ellipticity_ratio_slack(t: _Tables, n, k, l):
     spec = OperatorSpec(n, k, l)
     t.require("tilde", "operator gradient")
     fg = t.f_grad("tilde", spec)
-    ratio = _min_share(fg)
+    fg_min = fg.min(axis=-1)
+    ratio = fg_min / fg.sum(axis=-1)
     t.require("tilde10", "operator gradient")
     ratio10 = _min_share(t.f_grad("tilde10", spec))
-    pos_bad = int((fg.min(axis=-1) <= 0.0).sum())
+    pos_bad = int((fg_min <= 0.0).sum())
     scale_bad = int((np.abs(ratio - ratio10) > 1e-12).sum())
     return ratio, t.spectra("lam"), pos_bad + scale_bad, {"positivity_violations": pos_bad, "scale_violations": scale_bad}
 

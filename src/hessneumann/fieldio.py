@@ -24,13 +24,11 @@ _HEADER = struct.Struct("<4sIII")  # magic, n, m per axis, reserved zero
 def write_solution_csv(path, u: ScalarField) -> None:
     """Node coordinates and values, one row per node in C order."""
     grid = u.grid
-    pts = grid.points()
     header = ",".join(f"x{i + 1}" for i in range(grid.n)) + ",u"
-    flat = u.values.ravel()
+    table = np.column_stack([grid.points(), u.values.ravel()])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row, val in zip(pts, flat):
-            fh.write(",".join(f"{c:.17g}" for c in row) + f",{val:.17g}\n")
+        fh.write(header + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def write_report_json(path, report) -> None:

@@ -8,6 +8,12 @@ is square.  Damped Newton keeps every accepted iterate strictly admissible;
 the continuation driver walks the data from an exactly solvable paraboloid
 problem to the target.
 
+Each stencil is one sparse map, built once per (grid, beta): ``hess`` takes
+the nodal values to the central-difference Hessians of the interior nodes,
+``robin`` to u_nu + beta * u on the boundary.  The residual's boundary rows
+are robin @ u - phi, and the Jacobian is C(fw) @ hess + robin, C(fw) holding
+each interior node's linearization fw = dF/dr.
+
 Cone checks, residual, Jacobian and the step to the cone boundary read only
 sigma_1..sigma_c of the interior eta-matrices and their Newton tensors, from
 operator.newton_tensors; ``diagnostics`` is the one eigenvalue computation.
@@ -26,7 +32,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .grid import BoxGrid, ScalarField
 from .operator import _grad_from_tensors, _value_from_sigmas, newton_tensors
 from .operator import grad_at_eta  # noqa: F401  (unused here, like sigma_all; bench/tracing.py patches both)
-from .problem import ProblemSpec, _require_admissible, _robin_data, manufactured_problem, paraboloid
+from .problem import ProblemSpec, _require_admissible, manufactured_problem, paraboloid
 from .symfun import ConeError, sigma_all  # noqa: F401
 
 __all__ = [
@@ -165,39 +171,110 @@ _OUTWARD_D1 = (3.0, -4.0, 1.0)
 _NORMAL_D2 = (2.0, -5.0, 4.0, -1.0)
 
 
-def _axis_slice(n: int, axis: int, index) -> tuple:
-    sl = [slice(None)] * n
-    sl[axis] = index
-    return tuple(sl)
+def _face_rows(grid: BoxGrid, weights: tuple, scale: np.ndarray):
+    """CSR map with one row per node of each of the 2n faces, and the flat index of each row's face node.
+
+    The row of a node on a face normal to axis a is
+    scale[a] * sum_k weights[k] * (u k nodes in from the face).
+    """
+    n, m = grid.n, grid.m
+    depth = np.arange(len(weights))
+    faces = [np.moveaxis(grid.flat_index().take(i, axis=a), a, -1) for a in range(n) for i in (depth, m - 1 - depth)]
+    cols = np.concatenate([face.reshape(-1, depth.size) for face in faces])
+    data = np.outer(np.repeat(scale, 2 * m ** (n - 1)), weights)
+    indptr = np.arange(0, cols.size + 1, depth.size)
+    return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(len(cols), grid.size)), cols[:, 0]
 
 
-def _layer(arr: np.ndarray, axis: int, side: int, depth: int) -> np.ndarray:
-    """The nodes ``depth`` layers in from the low (side 0) or high (side 1) face normal to axis."""
-    index = depth if side == 0 else arr.shape[axis] - 1 - depth
-    return arr[_axis_slice(arr.ndim, axis, index)]
+def _hessian_operator(grid: BoxGrid) -> sp.csr_matrix:
+    """CSR map from nodal values to the interior Hessians, one row per node (C order) and pair i <= j (triu order).
 
-
-def _one_sided(values: np.ndarray, axis: int, side: int, weights: tuple) -> np.ndarray:
-    """sum_k weights[k] * (layer k from the face), summed from the face inward."""
-    total = weights[0] * _layer(values, axis, side, 0)
-    for depth in range(1, len(weights)):
-        total = total + weights[depth] * _layer(values, axis, side, depth)
-    return total
-
-
-def _gradient(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Discrete gradient, one grid-shaped array per axis: central inside, one-sided on the faces."""
+    Central differences, exact on quadratics.  Every interior row has the
+    same taps, so the arrays are written directly from the stencil.
+    """
     n, m, h = grid.n, grid.m, grid.h
-    out = np.empty((n,) + grid.shape)
-    for a in range(n):
-        d = out[a]
-        d[_axis_slice(n, a, slice(1, m - 1))] = (
-            values[_axis_slice(n, a, slice(2, m))] - values[_axis_slice(n, a, slice(0, m - 2))]
-        ) / (2.0 * h[a])
-        # negation is exact, so the Robin rows recover the outward difference bit for bit
-        d[_axis_slice(n, a, 0)] = -_one_sided(values, a, 0, _OUTWARD_D1) / (2.0 * h[a])
-        d[_axis_slice(n, a, m - 1)] = _one_sided(values, a, 1, _OUTWARD_D1) / (2.0 * h[a])
-    return out
+    stride = m ** np.arange(n - 1, -1, -1)
+    iu, ju = np.triu_indices(n)
+    offsets, weights = [], []
+    for i, j in zip(iu, ju):
+        if i == j:
+            offsets += [-stride[i], 0, stride[i]]
+            weights += [w / h[i] ** 2 for w in (1.0, -2.0, 1.0)]
+        else:
+            offsets += [-stride[i] - stride[j], -stride[i] + stride[j], stride[i] - stride[j], stride[i] + stride[j]]
+            weights += [w / (4.0 * h[i] * h[j]) for w in (1.0, -1.0, -1.0, 1.0)]
+    nodes = grid.flat_index()[grid.interior()].ravel()
+    indptr = np.append(0, np.cumsum(np.tile(np.where(iu == ju, 3, 4), nodes.size)))  # taps per pair
+    cols = (nodes[:, None] + np.array(offsets)).ravel()
+    return sp.csr_matrix((np.tile(weights, nodes.size), cols, indptr), shape=(nodes.size * iu.size, grid.size))
+
+
+def _interior_hessians(hess: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
+    """Hessians at all interior nodes, shape (m-2,)*n + (n, n), from hess = _hessian_operator(grid)."""
+    n = values.ndim
+    iu, ju = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=int)
+    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
+    return (hess @ values.ravel()).reshape(tuple(s - 2 for s in values.shape) + (iu.size,))[..., pair]
+
+
+class _GridOperators:
+    """The sparse maps of one (grid, beta), built once per solve, and the preconditioner's LU.
+
+    ``hess`` is _hessian_operator(grid).  ``robin`` maps u to u_nu + beta * u
+    on the boundary nodes, u_nu averaging the outward one-sided differences
+    of a node's faces, and has empty interior rows.
+
+    ``lu`` is laplace_robin(grid, beta)'s SuperLU factorization, made on first
+    use and shared by every Newton step on the grid, and ``factor_s`` its
+    time.  Strict ellipticity keeps each Jacobian spectrally equivalent to
+    that operator, so preconditioned GMRES needs a mesh-independent number of
+    iterations.
+    """
+
+    def __init__(self, grid: BoxGrid, beta: float):
+        self.grid, self.beta = grid, beta
+        self.hess = _hessian_operator(grid)
+        faces, nodes = _face_rows(grid, _OUTWARD_D1, 0.5 / grid.h)
+        fc = grid.face_count().ravel()
+        bidx = np.flatnonzero(fc)
+        average = sp.csr_matrix((1.0 / fc[nodes], (nodes, np.arange(nodes.size))), shape=(grid.size, nodes.size))
+        shift = sp.csr_matrix((np.full(bidx.size, beta), (bidx, bidx)), shape=(grid.size, grid.size))
+        self.robin = average @ faces + shift
+        self._pairs = np.triu_indices(grid.n)
+        per_row = np.where(fc == 0, self._pairs[0].size, 0)
+        self._fw_pattern = (np.arange(self.hess.shape[0]), np.append(0, np.cumsum(per_row)))
+        self.lu = None
+        self.factor_s = 0.0
+        self._diag = None
+
+    def jacobian(self, fw: np.ndarray) -> sp.csr_matrix:
+        """C(fw) @ hess + robin at the interior linearizations fw = dF/dr, shape (m-2,)*n + (n, n) or (n, n).
+
+        C(fw) holds fw_ii and 2 fw_ij (i < j) in each interior node's row.
+        """
+        iu, ju = self._pairs
+        rows = (self.grid.m - 2,) * self.grid.n + (iu.size,)
+        data = np.broadcast_to(fw[..., iu, ju] * np.where(iu == ju, 1.0, 2.0), rows).ravel()
+        return sp.csr_matrix((data, *self._fw_pattern), shape=self.hess.shape[::-1]) @ self.hess + self.robin
+
+    def laplace_robin(self) -> sp.csr_matrix:
+        return self.jacobian((self.grid.n - 1.0) * np.eye(self.grid.n))
+
+    def solver(self, jac_diag: np.ndarray):
+        """P^-1 = LU(L)^-1 diag(diag(L) / diag(J)): L with its rows scaled to the Jacobian's diagonal."""
+        if self.lu is None:
+            mat = self.laplace_robin()
+            self._diag = mat.diagonal()
+            t0 = time.perf_counter()
+            # L is structurally symmetric but for the Robin rows, so a minimum-degree
+            # ordering of L^T + L applies to rows and columns alike.  Every diagonal
+            # entry is nonzero: -2(n-1) sum 1/h^2 inside and 3w/(2h) + beta > 0 on
+            # the boundary (beta > 0), so the diagonal pivots need no row exchange.
+            self.lu = spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+            self.factor_s = time.perf_counter() - t0
+        lu, scale = self.lu, self._diag / jac_diag
+        return lambda v: lu.solve(scale * v.ravel())
 
 
 def hessian_at(u: ScalarField, node: tuple[int, ...]) -> np.ndarray:
@@ -206,42 +283,17 @@ def hessian_at(u: ScalarField, node: tuple[int, ...]) -> np.ndarray:
     node = tuple(int(i) for i in node)
     if len(node) != grid.n or any(not 1 <= i <= grid.m - 2 for i in node):
         raise ValueError(f"node {node} is not interior to the grid")
-    return _interior_hessians(u.values, grid)[tuple(i - 1 for i in node)]
+    return _interior_hessians(_hessian_operator(grid), u.values)[tuple(i - 1 for i in node)]
 
 
-def _interior_hessians(values: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Hessians at all interior nodes, shape (m-2,)*n + (n, n)."""
-    n, m, h = grid.n, grid.m, grid.h
-
-    def block(shift):
-        return values[tuple(slice(1 + s, m - 1 + s) for s in shift)]
-
-    center = block((0,) * n)
-    out = np.empty(center.shape + (n, n))
-    for i in range(n):
-        sp_i = tuple(1 if a == i else 0 for a in range(n))
-        sm_i = tuple(-1 if a == i else 0 for a in range(n))
-        out[..., i, i] = (block(sp_i) - 2.0 * center + block(sm_i)) / h[i] ** 2
-        for j in range(i + 1, n):
-            def shift(si, sj):
-                return tuple(si if a == i else sj if a == j else 0 for a in range(n))
-
-            val = (block(shift(1, 1)) - block(shift(1, -1)) - block(shift(-1, 1)) + block(shift(-1, -1))) / (
-                4.0 * h[i] * h[j]
-            )
-            out[..., i, j] = val
-            out[..., j, i] = val
-    return out
-
-
-def _eta_tensors(values: np.ndarray, spec: ProblemSpec):
+def _eta_tensors(values: np.ndarray, spec: ProblemSpec, ops: _GridOperators):
     """newton_tensors of eta = trace(H) I - H at all interior nodes, up to the cone order: (sigma table, tensors)."""
-    hess = _interior_hessians(values, spec.grid)
+    hess = _interior_hessians(ops.hess, values)
     tr = np.trace(hess, axis1=-2, axis2=-1)
     return newton_tensors(tr[..., None, None] * np.eye(spec.grid.n) - hess, spec.op.cone_order)
 
 
-def _evaluate(values: np.ndarray, sig, spec: ProblemSpec, what: str):
+def _evaluate(values: np.ndarray, sig, spec: ProblemSpec, ops: _GridOperators, what: str):
     """(least cone margin, residual) at values, whose interior eta tensors are sig = _eta_tensors(values).
 
     Raises ConeError at the worst node unless every interior node is strictly
@@ -249,14 +301,14 @@ def _evaluate(values: np.ndarray, sig, spec: ProblemSpec, what: str):
     """
     margin = _require_admissible(sig[0], what, origin=1)
     grid = spec.grid
-    out = _robin_data(grid, spec.beta, values, _gradient(values, grid)) - spec.phi.values
+    out = (ops.robin @ values.ravel()).reshape(grid.shape) - spec.phi.values
     core = grid.interior()
     out[core] = _value_from_sigmas(sig[0], spec.op) - spec.psi_tilde()[core]
     return margin, out
 
 
 def _max_admissible_step(
-    values: np.ndarray, delta: np.ndarray, spec: ProblemSpec, alpha_out: float, e_in, e_out
+    values: np.ndarray, delta: np.ndarray, spec: ProblemSpec, ops: _GridOperators, alpha_out: float, e_in, e_out
 ) -> float:
     """Largest alpha in [0, alpha_out] with values + alpha * delta strictly admissible, to float resolution.
 
@@ -271,7 +323,7 @@ def _max_admissible_step(
     """
     c = spec.op.cone_order
     s = np.arange(c + 1) / c  # alpha / alpha_out
-    inner = [_eta_tensors(values + (alpha_out * x) * delta, spec)[0] for x in s[1:-1]]
+    inner = [_eta_tensors(values + (alpha_out * x) * delta, spec, ops)[0] for x in s[1:-1]]
     e = np.stack([table[..., 1:] for table in (e_in, *inner, e_out)])
     coef = np.empty_like(e)  # coef[q] multiplies s**q
     coef[0] = e[0]
@@ -300,114 +352,30 @@ def _max_admissible_step(
 
 def residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """Equation residual at every node; raises ConeError on any inadmissible node."""
-    _, res = _evaluate(u.values, _eta_tensors(u.values, spec), spec, "iterate")
+    ops = _GridOperators(spec.grid, spec.beta)
+    _, res = _evaluate(u.values, _eta_tensors(u.values, spec, ops), spec, ops, "iterate")
     return ScalarField(spec.grid, res)
 
 
 def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
     """Sparse derivative of the residual with respect to every nodal value; raises ConeError off the cone."""
-    sig = _eta_tensors(u.values, spec)
+    ops = _GridOperators(spec.grid, spec.beta)
+    sig = _eta_tensors(u.values, spec, ops)
     _require_admissible(sig[0], "iterate", origin=1)
-    return _jacobian(sig, spec)
-
-
-def _jacobian(sig, spec: ProblemSpec) -> sp.csr_matrix:
-    """The Jacobian at an admissible iterate whose interior eta tensors are sig = _eta_tensors(values)."""
-    return _assemble(spec.grid, spec.beta, _grad_from_tensors(*sig, spec.op))
+    return ops.jacobian(_grad_from_tensors(*sig, spec.op))
 
 
 def laplace_robin(grid: BoxGrid, beta: float) -> sp.csr_matrix:
     """The state-independent k = 1 Jacobian: (n-1) times the Laplacian inside, the Robin rows on the boundary.
 
-    Its interior rows hold only the (2n+1)-point pattern: no explicit zeros
-    are stored, because SuperLU would compute fill for them too.
+    Its interior rows hold only the (2n+1)-point pattern: the sparse product
+    drops the exact zeros of the mixed-pair taps, which SuperLU would
+    otherwise fill for too.
     """
-    n = grid.n
-    fw = np.broadcast_to((n - 1.0) * np.eye(n), (grid.m - 2,) * n + (n, n))
-    mat = _assemble(grid, beta, fw)
-    mat.eliminate_zeros()
-    return mat
+    return _GridOperators(grid, beta).laplace_robin()
 
 
-def _assemble(grid: BoxGrid, beta: float, fw: np.ndarray) -> sp.csr_matrix:
-    """Interior rows contract the linearization fw with the Hessian stencil; boundary rows are Robin."""
-    n, m, h = grid.n, grid.m, grid.h
-    flat = grid.flat_index()
-    core = grid.interior()
-    idx = flat[core].ravel()
-    strides = [m ** (n - 1 - axis) for axis in range(n)]
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    center = np.zeros(idx.shape)
-    for i in range(n):
-        dii = fw[..., i, i].ravel()
-        center -= 2.0 * dii / h[i] ** 2
-        add(idx, idx + strides[i], dii / h[i] ** 2)
-        add(idx, idx - strides[i], dii / h[i] ** 2)
-        for j in range(i + 1, n):
-            dij = fw[..., i, j].ravel() / (2.0 * h[i] * h[j])
-            add(idx, idx + strides[i] + strides[j], dij)
-            add(idx, idx - strides[i] - strides[j], dij)
-            add(idx, idx + strides[i] - strides[j], -dij)
-            add(idx, idx - strides[i] + strides[j], -dij)
-    add(idx, idx, center)
-
-    fc = grid.face_count()
-    for axis in range(n):
-        for side in (0, 1):
-            face = _layer(flat, axis, side, 0).ravel()
-            w = 1.0 / _layer(fc, axis, side, 0).ravel()
-            for depth, c in enumerate(_OUTWARD_D1):
-                add(face, _layer(flat, axis, side, depth).ravel(), c / (2.0 * h[axis]) * w)
-    bidx = flat[grid.boundary_mask()]
-    add(bidx, bidx, np.full(bidx.shape, beta))
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.size, grid.size),
-    )
-    return mat.tocsr()
-
-
-class _LaplaceRobinLU:
-    """One LU of laplace_robin(grid, beta), factored on first use and shared by every Newton step on that grid.
-
-    Strict ellipticity keeps each Jacobian spectrally equivalent to this
-    operator, so preconditioned GMRES needs a mesh-independent number of
-    iterations.  ``lu`` is the SuperLU factorization once made, and
-    ``factor_s`` the time it took.
-    """
-
-    def __init__(self, grid: BoxGrid, beta: float):
-        self.grid = grid
-        self.beta = beta
-        self.lu = None
-        self.factor_s = 0.0
-        self._diag = None
-
-    def solver(self, jac_diag: np.ndarray):
-        """P^-1 = LU(L)^-1 diag(diag(L) / diag(J)): L with its rows scaled to the Jacobian's diagonal."""
-        if self.lu is None:
-            mat = laplace_robin(self.grid, self.beta)
-            self._diag = mat.diagonal()
-            t0 = time.perf_counter()
-            # L is structurally symmetric but for the Robin rows, so a minimum-degree
-            # ordering of L^T + L applies to rows and columns alike.  Every diagonal
-            # entry is nonzero: -2(n-1) sum 1/h^2 inside and 3w/(2h) + beta > 0 on
-            # the boundary (beta > 0), so the diagonal pivots need no row exchange.
-            self.lu = spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
-            self.factor_s = time.perf_counter() - t0
-        lu, scale = self.lu, self._diag / jac_diag
-        return lambda v: lu.solve(scale * v.ravel())
-
-
-def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _LaplaceRobinLU):
+def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperators):
     """Solve mat @ x = rhs by preconditioned GMRES; returns (x, Krylov iterations), x None if GMRES missed _GMRES_RTOL."""
     iterations = 0
 
@@ -439,7 +407,7 @@ def newton_solve(
     u0: ScalarField,
     spec: ProblemSpec,
     opts: NewtonOptions | None = None,
-    preconditioner: _LaplaceRobinLU | None = None,
+    preconditioner: _GridOperators | None = None,
 ):
     """Damped Newton from an admissible start.
 
@@ -453,31 +421,31 @@ def newton_solve(
     at opts.tol (residual sup norm) or opts.max_iter; returns (solution,
     report) with report.converged telling which.  A GMRES run that misses its
     tolerance, or a line-search step below opts.min_step, raises
-    NonconvergenceError.  ``preconditioner`` shares that LU between calls on
-    the same grid and beta (continuation_solve passes one to all its stages);
-    by default each call factors its own.
+    NonconvergenceError.  ``preconditioner``, a _GridOperators of this grid
+    and beta, shares its maps and LU between calls (continuation_solve passes
+    one to all its stages); by default each call builds its own.
     """
     solution, report = _newton(u0, spec, opts, preconditioner)
     report.diagnostics = diagnostics(solution)
     return solution, report
 
 
-def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, preconditioner: _LaplaceRobinLU | None):
+def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops: _GridOperators | None):
     """newton_solve without the diagnostics, which continuation_solve needs for its final solution only."""
     opts = opts or NewtonOptions()
     grid = spec.grid
     if u0.grid != grid:
         raise ValueError("initial guess lives on a different grid")
-    if preconditioner is None:
-        preconditioner = _LaplaceRobinLU(grid, spec.beta)
-    elif preconditioner.grid != grid or preconditioner.beta != spec.beta:
+    if ops is None:
+        ops = _GridOperators(grid, spec.beta)
+    elif ops.grid != grid or ops.beta != spec.beta:
         raise ValueError("preconditioner was built for a different grid or beta")
     psi_t = spec.psi_tilde()
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
 
     u = u0.values.copy()
-    sig = _eta_tensors(u, spec)
-    mmin, res = _evaluate(u, sig, spec, "initial guess")
+    sig = _eta_tensors(u, spec, ops)
+    mmin, res = _evaluate(u, sig, spec, ops, "initial guess")
     rnorm = float(np.abs(res).max())
     report = SolveReport()
 
@@ -488,7 +456,7 @@ def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, prec
     for _ in range(opts.max_iter):
         if rnorm <= tol:
             break
-        delta, krylov = _newton_direction(_jacobian(sig, spec), -res.ravel(), preconditioner)
+        delta, krylov = _newton_direction(ops.jacobian(_grad_from_tensors(*sig, spec.op)), -res.ravel(), ops)
         if delta is None:
             raise failure(f"GMRES missed its tolerance {_GMRES_RTOL:g} in {krylov} iterations")
         delta = delta.reshape(grid.shape)
@@ -500,13 +468,13 @@ def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, prec
                 raise failure(f"line search underflow (step < {opts.min_step:g})")
             trials += 1
             trial = u + alpha * delta
-            sig_t = _eta_tensors(trial, spec)
+            sig_t = _eta_tensors(trial, spec, ops)
             try:
-                mmin_t, res_t = _evaluate(trial, sig_t, spec, "trial iterate")
+                mmin_t, res_t = _evaluate(trial, sig_t, spec, ops, "trial iterate")
             except ConeError:
                 cone_rejections += 1
                 if max_step is None:
-                    max_step = _max_admissible_step(u, delta, spec, alpha, sig[0], sig_t[0])
+                    max_step = _max_admissible_step(u, delta, spec, ops, alpha, sig[0], sig_t[0])
                     alpha = _FRACTION_TO_BOUNDARY * max_step
                     continue
             else:
@@ -563,7 +531,7 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
         targets = [1.0] if identical else _default_targets()
 
     report = SolveReport()
-    preconditioner = _LaplaceRobinLU(grid, spec.beta)
+    ops = _GridOperators(grid, spec.beta)
     u = u_start.values.copy()
     t_prev = 0.0
     i = 0
@@ -578,7 +546,7 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
             ScalarField(grid, (1.0 - t) * phi0 + t * phi1),
         )
         try:
-            sol, stage_rep = _newton(ScalarField(grid, u), stage_spec, opts, preconditioner)
+            sol, stage_rep = _newton(ScalarField(grid, u), stage_spec, opts, ops)
             ok = stage_rep.converged
         except NonconvergenceError as exc:
             sol, stage_rep, ok = None, exc.report, False
@@ -586,9 +554,9 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
         report.iterations.extend(stage_rep.iterations)
         report.residual_norm = stage_rep.residual_norm
         report.final_margin = stage_rep.final_margin
-        if preconditioner.lu is not None:
-            report.preconditioner_nnz = int(preconditioner.lu.nnz)  # no copy, unlike lu.L and lu.U
-            report.preconditioner_factor_s = preconditioner.factor_s
+        if ops.lu is not None:
+            report.preconditioner_nnz = int(ops.lu.nnz)  # no copy, unlike lu.L and lu.U
+            report.preconditioner_factor_s = ops.factor_s
         if ok:
             u = sol.values
             t_prev = t
@@ -616,17 +584,9 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
 
 def diagnostics(u: ScalarField) -> Diagnostics:
     """Discrete gradient/Hessian/boundary suprema of a grid field."""
-    grid = u.grid
-    values = u.values
-    sup_gradient = float(np.sqrt(sum(d * d for d in _gradient(values, grid))).max())
-
-    hess = _interior_hessians(values, grid)
-    sup_hessian_eig = float(np.linalg.eigvalsh(hess)[..., -1].max())
-
-    sup_normal_second = max(
-        float(np.abs(_one_sided(values, a, side, _NORMAL_D2) / grid.h[a] ** 2).max())
-        for a in range(grid.n)
-        for side in (0, 1)
-    )
-
+    grid, values = u.grid, u.values
+    sup_gradient = float(np.sqrt(sum(d * d for d in np.gradient(values, *grid.h, edge_order=2))).max())
+    sup_hessian_eig = float(np.linalg.eigvalsh(_interior_hessians(_hessian_operator(grid), values))[..., -1].max())
+    second, _ = _face_rows(grid, _NORMAL_D2, grid.h**-2.0)
+    sup_normal_second = float(np.abs(second @ values.ravel()).max())
     return Diagnostics(sup_gradient, sup_hessian_eig, sup_normal_second)

@@ -361,3 +361,16 @@ class TestFieldIO:
         assert lines[0] == "x1,x2,u"
         assert len(lines) == 82
         assert lines[1] == "0,0,3.25"
+
+    def test_solution_csv_bytes_match_per_row_formatting(self, tmp_path):
+        g = BoxGrid((0, -1e-3, 0), (1, 2, 1.5), 9)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(g.shape) * 10.0 ** rng.integers(-300, 300, g.shape)
+        values.flat[:7] = [-0.0, 0.0, 5e-324, -2.2e-310, 1.79e308, -1.79e308, 1.0 / 3.0]
+        f = ScalarField(g, values)
+        path = tmp_path / "sol.csv"
+        write_solution_csv(path, f)
+        want = "x1,x2,x3,u\n" + "".join(
+            ",".join(f"{c:.17g}" for c in row) + f",{val:.17g}\n" for row, val in zip(g.points(), values.ravel())
+        )
+        assert path.read_bytes() == want.encode("utf-8")

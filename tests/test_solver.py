@@ -164,11 +164,12 @@ class TestJacobian:
 
 def _eigh_jacobian(u, spec):
     """The Jacobian through the eigendecomposition: dF/dr = trace(a) I - a with a = Q diag(grad_at_eta) Q^T."""
-    hess = solver._interior_hessians(u.values, spec.grid)
+    ops = solver._GridOperators(spec.grid, spec.beta)
+    hess = solver._interior_hessians(ops.hess, u.values)
     lam, q = np.linalg.eigh(eta_matrix(hess))
     a = np.einsum("...ij,...j,...kj->...ik", q, grad_at_eta(lam, spec.op), q)
     fw = np.trace(a, axis1=-2, axis2=-1)[..., None, None] * np.eye(spec.grid.n) - a
-    return solver._assemble(spec.grid, spec.beta, fw)
+    return ops.jacobian(fw)
 
 
 class TestNewtonTensorJacobian:
@@ -204,7 +205,7 @@ class TestLaplaceRobin:
     @pytest.mark.parametrize("beta", [1e-6, 1.0, 1e6])
     def test_preconditioner_lu_pivots_on_the_diagonal(self, n, m, stretch, beta):
         grid = BoxGrid((0.0,) * n, (1.0,) * (n - 1) + (stretch,), m)
-        pre = solver._LaplaceRobinLU(grid, beta)
+        pre = solver._GridOperators(grid, beta)
         pre.solver(np.ones(grid.size))
         lu, mat = pre.lu, laplace_robin(grid, beta).tocsc()
         assert (lu.perm_r == lu.perm_c).all()
@@ -246,7 +247,7 @@ class TestNewtonDirection:
         mat = jacobian(u, spec)
         rhs = -residual(u, spec).values.ravel()
         want = spla.splu(mat.tocsc()).solve(rhs)
-        got, iterations = solver._newton_direction(mat, rhs, solver._LaplaceRobinLU(spec.grid, spec.beta))
+        got, iterations = solver._newton_direction(mat, rhs, solver._GridOperators(spec.grid, spec.beta))
         assert got is not None and iterations > 1
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
@@ -273,7 +274,7 @@ class TestNewtonDirection:
     def test_preconditioner_must_match_grid_and_beta(self):
         spec, u_star = paraboloid_spec(m=9)
         with pytest.raises(ValueError):
-            newton_solve(u_star, spec, preconditioner=solver._LaplaceRobinLU(spec.grid, 2.0))
+            newton_solve(u_star, spec, preconditioner=solver._GridOperators(spec.grid, 2.0))
 
 
 def _outward_direction(op, m, amplitude):
@@ -331,13 +332,15 @@ class TestMaxAdmissibleStep:
         spec, values, delta = self.CASES[case]()
         alpha_out = _first_step_outside(values, delta, spec)
         want = _bisect_max_step(values, delta, spec, alpha_out)
+        ops = solver._GridOperators(spec.grid, spec.beta)
         got = solver._max_admissible_step(
             values,
             delta,
             spec,
+            ops,
             alpha_out,
-            solver._eta_tensors(values, spec)[0],
-            solver._eta_tensors(values + alpha_out * delta, spec)[0],
+            solver._eta_tensors(values, spec, ops)[0],
+            solver._eta_tensors(values + alpha_out * delta, spec, ops)[0],
         )
         assert 0.0 < want < alpha_out
         assert abs(got - want) <= 1e-8 * want
@@ -537,6 +540,39 @@ class TestDiagnostics:
         d1, d2 = abs(sups[0] - sups[1]), abs(sups[1] - sups[2])
         assert d2 < d1
         assert 2.5 < d1 / d2 < 6.0
+
+    def test_anisotropic_quadratic_closed_forms(self):
+        # unequal spacings per axis, and diagonal entries of similar size, so
+        # that a wrong spacing on any axis moves each of the three suprema
+        grid = BoxGrid((0.0, 0.0, 0.0), (1.0, 2.0, 1.5), 9)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 3))
+        a = 0.5 * (a + a.T)
+        np.fill_diagonal(a, (1.0, 0.9, 1.1))
+        b = rng.standard_normal(3)
+        d = diagnostics(quadratic_field(grid, a, b))
+        grad = grid.points() @ a + b
+        assert d.sup_gradient == pytest.approx(np.sqrt((grad**2).sum(axis=1)).max(), rel=1e-12)
+        assert d.sup_hessian_eig == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-10)
+        assert d.sup_normal_second == pytest.approx(np.abs(np.diag(a)).max(), rel=1e-10)
+
+
+class TestSharedRobinOperator:
+    @pytest.mark.parametrize("case", ["perturbed-paraboloid", "perturbed-paraboloid-2d"])
+    def test_residual_and_jacobian_boundary_rows_agree(self, case):
+        spec, u_star = build_case(case, 9)
+        grid = spec.grid
+        rng = np.random.default_rng(13)
+        amplitude = 1e-2 * grid.h.max() ** 2
+        u = ScalarField(grid, u_star.values + amplitude * rng.standard_normal(grid.shape))
+        v = amplitude * rng.standard_normal(grid.shape)
+        bmask = grid.boundary_mask()
+        mat = jacobian(u, spec)
+        jv = (mat @ v.ravel()).reshape(grid.shape)[bmask]
+        dr = (residual(ScalarField(grid, u.values + v), spec).values - residual(u, spec).values)[bmask]
+        assert np.abs(jv - dr).max() <= 1e-10 * np.abs(jv).max()
+        bidx = grid.flat_index()[bmask]
+        assert np.array_equal(mat[bidx].toarray(), laplace_robin(grid, spec.beta)[bidx].toarray())
 
 
 class TestMmsConvergence:
