@@ -72,6 +72,20 @@ class TestVerifyLemmas:
         doc = json.loads((out_a / "ellipticity-ratio_n3_k2.json").read_text())
         assert doc["violations"] == 0 and doc["samples"] == 2000
 
+    @pytest.mark.parametrize(
+        "args, reference",
+        [
+            (["--n-max", "6", "--samples", "40000", "--seed", "42"], "bench/ref/summary-n6-s40000-seed42.csv"),
+            (
+                ["--n-max", "4", "--samples", "20000", "--seed", "7", "--scale", "1e-2"],
+                "tests/data/summary-n4-s20000-seed7-scale1e-2.csv",
+            ),
+        ],
+    )
+    def test_summary_is_byte_identical_to_the_reference(self, tmp_path, args, reference):
+        assert main(["verify-lemmas", *args, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "summary.csv").read_bytes() == (REPO / reference).read_bytes()
+
     def test_empty_sweep_usage_error(self, tmp_path):
         assert main(["verify-lemmas", "--samples", "0", "--out", str(tmp_path)]) == 2
 
