@@ -23,7 +23,8 @@ scale is the scale-1 stream times the scale.
 All sweeps on one (n, cone order) stream share its work: each chunk is drawn
 once and walked in blocks, and per block the sigma tables, the deleted tables
 and the operator gradients are built once and read by every sweep of the
-group.  They are the floats the public functions below compute on the block.
+group.  These tables keep the spectrum on axis 0 and the public functions
+below keep it on the last axis; both compute the same floats on a block.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .operator import OperatorSpec, _grad_from_sigmas, _lam_grad, eta_from_lambda, f_grad, lambda_from_eta
-from .symfun import ConeError, _as_values, _check_in_gamma, _deleted_sigmas, _require_in_gamma, _sigma_rows, sigma_all
-from .symfun import sigma_grad  # noqa: F401  (unused here; bench/tracing.py patches this binding)
+from .operator import OperatorSpec, _eta_of_lambda, _grad_from_sigmas, _lam_grad, _lambda_of_eta, f_grad
+from .symfun import ConeError, _as_values, _by_columns, _check_in_gamma, _columns, _deleted_sigmas, _require_in_gamma
+from .symfun import _sigma_rows
+from .symfun import sigma_all, sigma_grad  # noqa: F401  (unused here; bench/tracing.py patches these bindings)
 
 __all__ = [
     "ConeSampler",
@@ -106,16 +108,12 @@ def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
     independent of the batch it is evaluated in.  The predicate runs the sigma
     recurrence on g transposed once, through buffers reused by every call.
     """
-    gt = np.ascontiguousarray(g.T)
+    gt = _columns(g)
     shifted = np.empty_like(gt)
     e = np.empty((k + 1, g.shape[0]))
 
     def pred(t):
-        _sigma_rows(np.add(gt, t, out=shifted), k, e)
-        ok = e[1] > _MARGIN
-        for q in range(2, k + 1):
-            ok &= e[q] > _MARGIN
-        return ok
+        return (_sigma_rows(np.add(gt, t, out=shifted), k, e)[1:] > _MARGIN).all(axis=0)
 
     t0 = np.zeros(g.shape[0])
     done = pred(t0)
@@ -192,25 +190,23 @@ def deleted_term_share(eta, k: int):
     sweeps estimate.
     """
     vals = _as_values(eta)
-    _require_in_gamma(vals, k, "deleted_term_share")
-    out = _share(_deleted_sigmas(-np.sort(-vals, axis=-1), k - 1), k)
-    return float(out) if vals.ndim == 1 else out
+    _require_in_gamma(_columns(vals), k, "deleted_term_share")
+    return _by_columns(lambda vt: _share(_deleted_sigmas(-np.sort(-vt, axis=0), k - 1), k), vals)
 
 
 def _share(d: np.ndarray, k: int) -> np.ndarray:
-    """deleted_term_share from the deleted table d of the descending spectrum."""
-    table = d[..., k - 1]
-    return table[..., k - 1] / table.sum(axis=-1)
+    """deleted_term_share (m,) from the deleted table d (k, n, m) of the descending spectra."""
+    table = d[k - 1]
+    return table[k - 1] / table.sum(axis=0)
 
 
 def ellipticity_ratio(lam, spec: OperatorSpec):
     """min_i f_i / sum_i f_i for the operator's gradient; in (0, 1/n], scale-free."""
-    out = _min_share(f_grad(lam, spec))
-    return float(out) if np.asarray(lam).ndim == 1 else out
+    return _by_columns(_min_share, f_grad(lam, spec))
 
 
 def _min_share(fg: np.ndarray) -> np.ndarray:
-    return fg.min(axis=-1) / fg.sum(axis=-1)
+    return fg.min(axis=0) / fg.sum(axis=0)
 
 
 def maclaurin_bound(n: int, k: int, l: int) -> float:
@@ -231,8 +227,8 @@ def maclaurin_ratio(eta, k: int, l: int, p: int | None = None):
     n = vals.shape[-1]
     if not 1 <= l < k <= n - 1:
         raise ValueError(f"need 1 <= l < k <= n-1, got (k, l) = ({k}, {l})")
-    _require_in_gamma(vals, k + 1, "maclaurin_ratio")
-    alpha = _alpha(_deleted_sigmas(vals, k), k, l)
+    _require_in_gamma(_columns(vals), k + 1, "maclaurin_ratio")
+    alpha = _by_columns(lambda vt: _alpha(_deleted_sigmas(vt, k), k, l), vals)
     if p is None:
         return alpha
     if not 0 <= p < n:
@@ -242,8 +238,8 @@ def maclaurin_ratio(eta, k: int, l: int, p: int | None = None):
 
 
 def _alpha(d: np.ndarray, k: int, l: int) -> np.ndarray:
-    """maclaurin_ratio at every deleted index p from the deleted table d[..., p, j] = sigma_j(eta | p)."""
-    return (d[..., k] / d[..., k - 1]) * (d[..., l - 1] / d[..., l])
+    """maclaurin_ratio (n, m) at every deleted index p from the deleted table d[j, p] = sigma_j(eta | p)."""
+    return (d[k] / d[k - 1]) * (d[l - 1] / d[l])
 
 
 def trace_lower_bound(n: int, k: int) -> float:
@@ -255,9 +251,8 @@ def trace_check(lam, spec: OperatorSpec):
     """Whether sum_i f_i >= trace_lower_bound(n, k) - 1e-10 (pure operator only)."""
     if spec.l is not None:
         raise ValueError("the trace lower bound is stated for the pure operator only")
-    total = f_grad(lam, spec).sum(axis=-1)
-    ok = total >= trace_lower_bound(spec.n, spec.k) - 1e-10
-    return bool(ok) if np.asarray(lam).ndim == 1 else ok
+    bound = trace_lower_bound(spec.n, spec.k) - 1e-10
+    return _by_columns(lambda fg: fg.sum(axis=0) >= bound, f_grad(lam, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +304,17 @@ class SweepReport:
 
 
 class _Tables:
-    """Spectra and sigma tables of one block of stream samples, each built on first use.
+    """Spectra and sigma tables of one block (m, n) of stream samples, each built on first use.
 
-    The spectra are "eta" (the samples), "sorted" (eta descending), "lam" =
-    lambda_from_eta(eta), "tilde" = eta_from_lambda(lam) and "tilde10" =
-    eta_from_lambda(10 lam).  Each has its sigma_0..sigma_c, its deleted table
-    and its f_grad per operator; every sweep of the block's group reads them.
+    The spectra (n, m), one sample per column, are "eta" (the samples), "sorted" (eta
+    descending), "lam" = lambda_from_eta(eta), "tilde" = eta_from_lambda(lam) and "tilde10" =
+    eta_from_lambda(10 lam).  Each has its sigma_0..sigma_c (c+1, m), deleted table (c, n, m)
+    and f_grad (n, m) per operator; every sweep of the block's group reads them.
     """
 
-    def __init__(self, eta: np.ndarray, c: int):
+    def __init__(self, block: np.ndarray, c: int):
         self.c = c
-        self._memo = {"eta": eta}
+        self._memo = {"eta": _columns(block)}
 
     def _cached(self, key, build):
         if key not in self._memo:
@@ -328,46 +323,39 @@ class _Tables:
 
     def spectra(self, name: str) -> np.ndarray:
         build = {
-            "sorted": lambda: -np.sort(-self.spectra("eta"), axis=-1),
-            "lam": lambda: lambda_from_eta(self.spectra("eta")),
-            "tilde": lambda: eta_from_lambda(self.spectra("lam")),
-            "tilde10": lambda: eta_from_lambda(10.0 * self.spectra("lam")),
+            "sorted": lambda: -np.sort(-self.spectra("eta"), axis=0),
+            "lam": lambda: _lambda_of_eta(self.spectra("eta")),
+            "tilde": lambda: _eta_of_lambda(self.spectra("lam")),
+            "tilde10": lambda: _eta_of_lambda(10.0 * self.spectra("lam")),
         }
         return self._cached(name, build.get(name))
 
     def sigmas(self, name: str) -> np.ndarray:
-        return self._cached(("sigmas", name), lambda: sigma_all(self.spectra(name), self.c))
-
-    def require(self, name: str, what: str) -> None:
-        """Raise what _require_in_gamma(spectra(name), c, what) would raise, if anything."""
-        _check_in_gamma(self.sigmas(name), what)
+        return self._cached(("sigmas", name), lambda: _sigma_rows(self.spectra(name), self.c))
 
     def deleted(self, name: str) -> np.ndarray:
-        """d[..., i, j] = sigma_j(x | i) of x = spectra(name), for j <= c - 1."""
+        """d[j, i] = sigma_j(x | i) of x = spectra(name), for j <= c - 1."""
         return self._cached(("deleted", name), lambda: _deleted_sigmas(self.spectra(name), self.c - 1))
 
     def f_grad(self, name: str, spec: OperatorSpec) -> np.ndarray:
         """f_grad at the lam whose transform is spectra(name)."""
-
-        def build():
-            return _lam_grad(_grad_from_sigmas(self.sigmas(name), self.deleted(name), spec))
-
-        return self._cached(("f_grad", name, spec), build)
+        key = ("f_grad", name, spec)
+        return self._cached(key, lambda: _lam_grad(_grad_from_sigmas(self.sigmas(name), self.deleted(name), spec)))
 
 
 def _deleted_term_share_slack(t: _Tables, n, k, l):
-    t.require("eta", "deleted_term_share")
+    _check_in_gamma(t.sigmas("eta"), "deleted_term_share")
     ratio = _share(t.deleted("sorted"), k)
     return ratio, t.spectra("eta"), int((ratio < -1e-12).sum()), {}
 
 
 def _ellipticity_ratio_slack(t: _Tables, n, k, l):
     spec = OperatorSpec(n, k, l)
-    t.require("tilde", "operator gradient")
+    _check_in_gamma(t.sigmas("tilde"), "operator gradient")
     fg = t.f_grad("tilde", spec)
-    fg_min = fg.min(axis=-1)
-    ratio = fg_min / fg.sum(axis=-1)
-    t.require("tilde10", "operator gradient")
+    fg_min = fg.min(axis=0)
+    ratio = fg_min / fg.sum(axis=0)
+    _check_in_gamma(t.sigmas("tilde10"), "operator gradient")
     ratio10 = _min_share(t.f_grad("tilde10", spec))
     pos_bad = int((fg_min <= 0.0).sum())
     scale_bad = int((np.abs(ratio - ratio10) > 1e-12).sum())
@@ -375,15 +363,15 @@ def _ellipticity_ratio_slack(t: _Tables, n, k, l):
 
 
 def _maclaurin_ratio_slack(t: _Tables, n, k, l):
-    t.require("eta", "maclaurin_ratio")
+    _check_in_gamma(t.sigmas("eta"), "maclaurin_ratio")
     alpha = _alpha(t.deleted("eta"), k, l)
-    slack = np.minimum(alpha, maclaurin_bound(n, k, l) - alpha).min(axis=-1)
+    slack = np.minimum(alpha, maclaurin_bound(n, k, l) - alpha).min(axis=0)
     return slack, t.spectra("eta"), int((slack < -1e-12).sum()), {"max_alpha": float(alpha.max())}
 
 
 def _trace_bound_slack(t: _Tables, n, k, l):
-    t.require("tilde", "operator gradient")
-    slack = t.f_grad("tilde", OperatorSpec(n, k)).sum(axis=-1) - trace_lower_bound(n, k)
+    _check_in_gamma(t.sigmas("tilde"), "operator gradient")
+    slack = t.f_grad("tilde", OperatorSpec(n, k)).sum(axis=0) - trace_lower_bound(n, k)
     return slack, t.spectra("lam"), int((slack < -1e-10).sum()), {}
 
 
@@ -432,7 +420,7 @@ def run_plan(plan, *, samples, seed, scale=1.0, workers=None) -> list[SweepRepor
                 family, n, k, l = plan[i]
                 t0 = time.perf_counter()
                 try:
-                    slack, rows, viol, extra = _FAMILIES[family][0](tables, n, k, l)
+                    slack, spectra, viol, extra = _FAMILIES[family][0](tables, n, k, l)
                 except ConeError as exc:
                     results.append(exc)
                     continue
@@ -443,9 +431,9 @@ def run_plan(plan, *, samples, seed, scale=1.0, workers=None) -> list[SweepRepor
                     viol += int((np.isnan(slack) | (slack == np.inf)).sum())
                     slack = np.where(finite, slack, -np.inf)
                 j = int(np.argmin(slack))
-                # floats, not a view: rows[j] would keep the whole chunk alive
+                # floats, not a view: spectra[:, j] would keep the whole block alive
                 dt = time.perf_counter() - t0 + (draw_share if a == 0 else 0.0)
-                results.append((float(slack[j]), [float(x) for x in rows[j]], viol, extra, dt))
+                results.append((float(slack[j]), spectra[:, j].tolist(), viol, extra, dt))
         return out
 
     with ThreadPoolExecutor(max_workers=min(worker_count(workers), len(tasks))) as ex:

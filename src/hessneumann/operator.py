@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import ConeError, _as_values, _deleted_sigmas, _require_in_gamma
+from .symfun import ConeError, _as_values, _by_columns, _deleted_sigmas, _require_in_gamma
 from .symfun import sigma_all, sigma_grad  # noqa: F401  (unused here; bench/tracing.py patches these bindings)
 
 __all__ = [
@@ -73,15 +73,22 @@ class OperatorSpec:
 
 def eta_from_lambda(lam) -> np.ndarray:
     """eta_i = sum_j lam_j - lam_i.  Reverses the ordering of the entries."""
-    vals = _as_values(lam)
-    return vals.sum(axis=-1, keepdims=True) - vals
+    return _by_columns(_eta_of_lambda, _as_values(lam))
 
 
 def lambda_from_eta(eta) -> np.ndarray:
     """Inverse transform lam_i = (sum_j eta_j) / (n-1) - eta_i."""
-    vals = _as_values(eta)
-    n = vals.shape[-1]
-    return vals.sum(axis=-1, keepdims=True) / (n - 1) - vals
+    return _by_columns(_lambda_of_eta, _as_values(eta))
+
+
+def _eta_of_lambda(lt: np.ndarray) -> np.ndarray:
+    """eta_from_lambda on the columns lt (n, m) of a spectrum table."""
+    return lt.sum(axis=0) - lt
+
+
+def _lambda_of_eta(et: np.ndarray) -> np.ndarray:
+    """lambda_from_eta on the columns et (n, m) of a spectrum table."""
+    return et.sum(axis=0) / (et.shape[0] - 1) - et
 
 
 def _as_sym_matrix(r) -> np.ndarray:
@@ -138,7 +145,7 @@ def _grad_from_tensors(e: np.ndarray, tensors: list, spec: OperatorSpec) -> np.n
 def value_at_eta(eta, spec: OperatorSpec):
     """Normalized operator value from the transformed eigenvalues eta."""
     vals = _as_values(eta)
-    out = _value_from_sigmas(_require_in_gamma(vals, spec.cone_order, "operator value"), spec)
+    out = _value_from_sigmas(_by_columns(_require_in_gamma, vals, spec.cone_order, "operator value"), spec)
     return float(out) if vals.ndim == 1 else out
 
 
@@ -151,23 +158,23 @@ def _value_from_sigmas(e: np.ndarray, spec: OperatorSpec) -> np.ndarray:
 
 def grad_at_eta(eta, spec: OperatorSpec) -> np.ndarray:
     """Entrywise derivative of the normalized operator with respect to eta."""
-    vals = _as_values(eta)
-    e = _require_in_gamma(vals, spec.cone_order, "operator gradient")
-    return _grad_from_sigmas(e, _deleted_sigmas(vals, spec.k - 1), spec)
+
+    def grad(et):
+        e = _require_in_gamma(et, spec.cone_order, "operator gradient")
+        return _grad_from_sigmas(e, _deleted_sigmas(et, spec.k - 1), spec)
+
+    return _by_columns(grad, _as_values(eta))
 
 
 def _grad_from_sigmas(e: np.ndarray, d: np.ndarray, spec: OperatorSpec) -> np.ndarray:
-    """grad_at_eta from eta's table e of sigma_0..sigma_c and its deleted table d[..., i, j] = sigma_j(eta | i)."""
+    """grad_at_eta (n, m) from eta's sigma_0..sigma_c (c+1, m) and deleted table d[j, i] = sigma_j(eta | i)."""
     k, l = spec.k, spec.l
-    tk = d[..., k - 1]  # sigma_{k-1}(eta | i)
+    tk = d[k - 1]  # sigma_{k-1}(eta | i)
     if l is None:
-        coef = (1.0 / k) * e[..., k] ** (1.0 / k - 1.0)
-        return coef[..., None] * tk
-    sk, sl = e[..., k], e[..., l]
-    tl0 = d[..., l - 1]  # sigma_{l-1}(eta | i)
-    w = (tk * sl[..., None] - sk[..., None] * tl0) / sl[..., None] ** 2
-    coef = (1.0 / spec.degree) * (sk / sl) ** (1.0 / spec.degree - 1.0)
-    return coef[..., None] * w
+        return (1.0 / k) * e[k] ** (1.0 / k - 1.0) * tk
+    sk, sl = e[k], e[l]
+    w = (tk * sl - sk * d[l - 1]) / sl**2  # d[l - 1] = sigma_{l-1}(eta | i)
+    return (1.0 / spec.degree) * (sk / sl) ** (1.0 / spec.degree - 1.0) * w
 
 
 def f_value(lam, spec: OperatorSpec):
@@ -181,12 +188,12 @@ def f_grad(lam, spec: OperatorSpec) -> np.ndarray:
     Entry i is the sum over p != i of the eta-gradient entries, all of which
     are nonnegative on the admissible cone, so f_grad >= 0 entrywise.
     """
-    return _lam_grad(grad_at_eta(eta_from_lambda(lam), spec))
+    return _by_columns(_lam_grad, grad_at_eta(eta_from_lambda(lam), spec))
 
 
 def _lam_grad(g: np.ndarray) -> np.ndarray:
-    """Gradient with respect to lam from the gradient g with respect to eta = eta_from_lambda(lam)."""
-    return g.sum(axis=-1, keepdims=True) - g
+    """Gradient (n, m) with respect to lam from the gradient g (n, m) with respect to eta = eta_from_lambda(lam)."""
+    return g.sum(axis=0) - g
 
 
 def f_grad_matrix(r, spec: OperatorSpec) -> np.ndarray:

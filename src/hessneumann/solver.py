@@ -425,20 +425,19 @@ def newton_solve(
     and beta, shares its maps and LU between calls (continuation_solve passes
     one to all its stages); by default each call builds its own.
     """
-    solution, report = _newton(u0, spec, opts, preconditioner)
-    report.diagnostics = diagnostics(solution)
+    ops = _GridOperators(spec.grid, spec.beta) if preconditioner is None else preconditioner
+    solution, report = _newton(u0, spec, opts, ops)
+    report.diagnostics = diagnostics(solution, ops=ops)
     return solution, report
 
 
-def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops: _GridOperators | None):
+def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops: _GridOperators):
     """newton_solve without the diagnostics, which continuation_solve needs for its final solution only."""
     opts = opts or NewtonOptions()
     grid = spec.grid
     if u0.grid != grid:
         raise ValueError("initial guess lives on a different grid")
-    if ops is None:
-        ops = _GridOperators(grid, spec.beta)
-    elif ops.grid != grid or ops.beta != spec.beta:
+    if ops.grid != grid or ops.beta != spec.beta:
         raise ValueError("preconditioner was built for a different grid or beta")
     psi_t = spec.psi_tilde()
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
@@ -573,7 +572,7 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
 
     report.converged = True
     solution = ScalarField(grid, u)
-    report.diagnostics = diagnostics(solution)
+    report.diagnostics = diagnostics(solution, ops=ops)
     return solution, report
 
 
@@ -582,11 +581,14 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
 # ---------------------------------------------------------------------------
 
 
-def diagnostics(u: ScalarField) -> Diagnostics:
-    """Discrete gradient/Hessian/boundary suprema of a grid field."""
+def diagnostics(u: ScalarField, *, ops: _GridOperators | None = None) -> Diagnostics:
+    """Discrete gradient/Hessian/boundary suprema of a grid field; ``ops``, made for u's grid, lends its Hessian map."""
     grid, values = u.grid, u.values
+    if ops is not None and ops.grid != grid:
+        raise ValueError("the grid operators were built for a different grid")
+    hess = _hessian_operator(grid) if ops is None else ops.hess
     sup_gradient = float(np.sqrt(sum(d * d for d in np.gradient(values, *grid.h, edge_order=2))).max())
-    sup_hessian_eig = float(np.linalg.eigvalsh(_interior_hessians(_hessian_operator(grid), values))[..., -1].max())
+    sup_hessian_eig = float(np.linalg.eigvalsh(_interior_hessians(hess, values))[..., -1].max())
     second, _ = _face_rows(grid, _NORMAL_D2, grid.h**-2.0)
     sup_normal_second = float(np.abs(second @ values.ravel()).max())
     return Diagnostics(sup_gradient, sup_hessian_eig, sup_normal_second)

@@ -49,13 +49,28 @@ def _as_values(lam) -> np.ndarray:
     return arr
 
 
-def _sigma_rows(vt: np.ndarray, kmax: int, out: np.ndarray) -> np.ndarray:
-    """sigma_0 .. sigma_kmax of each column of vt (n, m), written into the rows of out (kmax+1, m).
+def _columns(vals: np.ndarray) -> np.ndarray:
+    """The spectra vals (..., n) as the contiguous columns of a table (n, m), m the batch size."""
+    return np.ascontiguousarray(vals.reshape(-1, vals.shape[-1]).T)
+
+
+def _by_columns(kernel, vals: np.ndarray, *args):
+    """kernel(_columns(vals), *args) on vals' batch axes: a table (q, m) as (..., q), a row (m,) as (...) or scalar."""
+    out = kernel(_columns(vals), *args)
+    if out.ndim == 2:
+        return np.ascontiguousarray(out.T).reshape(vals.shape[:-1] + out.shape[:1])
+    return out.item() if vals.ndim == 1 else out.reshape(vals.shape[:-1])
+
+
+def _sigma_rows(vt: np.ndarray, kmax: int, out: np.ndarray | None = None) -> np.ndarray:
+    """sigma_0 .. sigma_kmax of each column of vt (n, m), written into the rows of out (kmax+1, m) or a new table.
 
     The coefficient recurrence of expanding prod_i (t + v_i), one entry at a
     time on contiguous rows: O(n*kmax), numerically stable, and sigma_q does
     not depend on kmax.
     """
+    if out is None:
+        out = np.empty((kmax + 1, vt.shape[1]))
     out[0] = 1.0
     out[1:] = 0.0
     tmp = np.empty(vt.shape[1])
@@ -79,23 +94,19 @@ def sigma_all(lam, kmax: int) -> np.ndarray:
     n = vals.shape[-1]
     if not 0 <= kmax <= n:
         raise ValueError(f"order kmax={kmax} outside [0, {n}]")
-    vt = np.ascontiguousarray(vals.reshape(-1, n).T)
-    out = _sigma_rows(vt, kmax, np.empty((kmax + 1, vt.shape[1])))
-    return np.ascontiguousarray(out.T).reshape(vals.shape[:-1] + (kmax + 1,))
+    return _by_columns(_sigma_rows, vals, kmax)
 
 
-def _deleted_sigmas(vals: np.ndarray, jmax: int) -> np.ndarray:
-    """d[..., i, j] = sigma_j(vals | i), entry i zeroed, for 0 <= j <= jmax.
+def _deleted_sigmas(vt: np.ndarray, jmax: int) -> np.ndarray:
+    """d[j, i, r] = sigma_j(column r of vt with entry i zeroed), shape (jmax+1, n, m), from vt (n, m).
 
-    One recurrence over the n copies of each spectrum with one entry zeroed;
-    each d[..., j] is a contiguous array shaped like vals.
+    One recurrence over the n copies of each column with one entry zeroed;
+    each d[j] is a contiguous (n, m) table.
     """
-    n = vals.shape[-1]
-    flat = vals.reshape(-1, n)
-    z = np.repeat(flat.T[:, :, None], n, axis=2)  # z[j, r, i] = flat[r, j]
-    z[np.arange(n), :, np.arange(n)] = 0.0
-    out = _sigma_rows(z.reshape(n, -1), jmax, np.empty((jmax + 1, z[0].size)))
-    return np.moveaxis(out.reshape((jmax + 1,) + vals.shape), 0, -1)
+    n = vt.shape[0]
+    z = np.repeat(vt[:, None, :], n, axis=1)  # z[j, i, r] = vt[j, r]
+    z[np.arange(n), np.arange(n)] = 0.0
+    return _sigma_rows(z.reshape(n, -1), jmax).reshape((jmax + 1,) + vt.shape)
 
 
 def sigma(lam, k: int):
@@ -127,10 +138,7 @@ def sigma_excl2(lam, k: int, i: int, j: int):
         raise ValueError(f"indices ({i}, {j}) outside [0, {n})")
     if i == j:
         raise ValueError("the two deleted indices must differ")
-    tmp = vals.copy()
-    tmp[..., i] = 0.0
-    tmp[..., j] = 0.0
-    return sigma_all(tmp, k)[..., k]
+    return sigma_excl(np.where(np.arange(n) == j, 0.0, vals), k, i)
 
 
 def sigma_grad(lam, k: int) -> np.ndarray:
@@ -139,7 +147,7 @@ def sigma_grad(lam, k: int) -> np.ndarray:
     n = vals.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"order k={k} outside [1, {n}]")
-    return _deleted_sigmas(vals, k - 1)[..., k - 1]
+    return _by_columns(lambda vt: _deleted_sigmas(vt, k - 1)[k - 1], vals)
 
 
 def in_gamma(lam, k: int):
@@ -148,8 +156,7 @@ def in_gamma(lam, k: int):
     n = vals.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"cone index k={k} outside [1, {n}]")
-    ok = np.all(sigma_all(vals, k)[..., 1:] > 0.0, axis=-1)
-    return bool(ok) if vals.ndim == 1 else ok
+    return _by_columns(lambda vt: (_sigma_rows(vt, k)[1:] > 0.0).all(axis=0), vals)
 
 
 def cone_margin(lam, k: int):
@@ -158,26 +165,24 @@ def cone_margin(lam, k: int):
     n = vals.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"cone index k={k} outside [1, {n}]")
-    m = np.min(sigma_all(vals, k)[..., 1:], axis=-1)
-    return float(m) if vals.ndim == 1 else m
+    return _by_columns(lambda vt: _sigma_rows(vt, k)[1:].min(axis=0), vals)
 
 
-def _require_in_gamma(vals: np.ndarray, k: int, what: str) -> np.ndarray:
-    """Return sigma_0..sigma_k, raising ConeError on the first violation."""
-    e = sigma_all(vals, k)
+def _require_in_gamma(vt: np.ndarray, k: int, what: str) -> np.ndarray:
+    """Return the table sigma_0..sigma_k (k+1, m) of the columns vt (n, m), raising ConeError on the first violation."""
+    e = _sigma_rows(vt, k)
     _check_in_gamma(e, what)
     return e
 
 
 def _check_in_gamma(e: np.ndarray, what: str) -> None:
-    """Raise ConeError at the first sample of the table e = sigma_0..sigma_k with some sigma_i <= 0."""
-    k = e.shape[-1] - 1
-    bad = e[..., 1:] <= 0.0
+    """Raise ConeError at the first column of the table e = sigma_0..sigma_k (k+1, m) with some sigma_i <= 0."""
+    k = e.shape[0] - 1
+    bad = e[1:] <= 0.0
     if bad.any():
-        flat = bad.reshape(-1, k)
-        sample = int(np.argmax(flat.any(axis=1)))
-        order = int(np.argmax(flat[sample])) + 1
-        value = float(e.reshape(-1, k + 1)[sample, order])
+        sample = int(np.argmax(bad.any(axis=0)))
+        order = int(np.argmax(bad[:, sample])) + 1
+        value = float(e[order, sample])
         raise ConeError(
             f"{what}: sigma_{order} = {value:.6g} <= 0, spectrum outside the "
             f"order-{k} cone",
@@ -197,7 +202,7 @@ def newton_maclaurin_gap(lam, k: int, l: int, r: int, s: int):
     n = vals.shape[-1]
     if not (n >= k > l >= 0 and n >= r > s >= 0 and k >= r and l >= s):
         raise ValueError(f"invalid index quadruple (k,l,r,s)=({k},{l},{r},{s}) for n={n}")
-    e = _require_in_gamma(vals, k, "newton_maclaurin_gap")
+    e = _by_columns(_require_in_gamma, vals, k, "newton_maclaurin_gap")
 
     def ratio(a, b):
         num = e[..., a] / math.comb(n, a)

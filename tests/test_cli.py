@@ -115,7 +115,7 @@ class TestVerifyLemmas:
             e = real(self, name)
             if name == "eta" and self.c == 3:
                 e = e.copy()
-                e[0, 3] = -1.0
+                e[3, 0] = -1.0
             return e
 
         monkeypatch.setattr(ellipticity._Tables, "sigmas", outside)

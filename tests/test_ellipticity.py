@@ -24,7 +24,7 @@ from hessneumann.ellipticity import (
     trace_check,
     trace_lower_bound,
 )
-from hessneumann.operator import OperatorSpec, f_grad, lambda_from_eta
+from hessneumann.operator import OperatorSpec, eta_from_lambda, f_grad, lambda_from_eta
 from hessneumann.symfun import ConeError, cone_margin, in_gamma
 
 
@@ -315,7 +315,7 @@ class TestRunPlan:
     def test_non_finite_slack_is_a_violation(self, monkeypatch, bad):
         def bad_at_sample_3(tables, n, k, l):
             eta = tables.spectra("eta")
-            slack = np.arange(len(eta), dtype=float)
+            slack = np.arange(eta.shape[1], dtype=float)
             slack[3] = bad
             return slack, eta, 0, {}
 
@@ -345,29 +345,41 @@ def outside_eta_cone(monkeypatch, n):
 
     def sigmas(self, name):
         e = real(self, name)
-        if name == "eta" and (self.c, self.spectra("eta").shape[-1]) == (3, n):
+        if name == "eta" and (self.c, self.spectra("eta").shape[0]) == (3, n):
             e = e.copy()
-            e[0, 3] = -1.0
+            e[3, 0] = -1.0
         return e
 
     monkeypatch.setattr(ellipticity._Tables, "sigmas", sigmas)
 
 
+def in_every_table_cone(eta, c):
+    """Rows of eta whose samples, tilde = eta_from_lambda(lam) and tilde10 = eta_from_lambda(10 lam) lie in the order-c cone."""
+    lam = lambda_from_eta(eta)
+    return in_gamma(eta, c) & in_gamma(eta_from_lambda(lam), c) & in_gamma(eta_from_lambda(10.0 * lam), c)
+
+
 class TestSharedTables:
     """Every family evaluated on one block's shared tables equals the public functions on that block."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_evaluators_equal_the_public_functions(self, n):
         plan = default_sweep_plan(n)
-        for c in range(1, n + 1):
+        for c, zeros in [(c, zeros) for c in range(1, n + 1) for zeros in (False, True)]:
             members = [(f, m, k, l) for f, m, k, l in plan if m == n and k + ellipticity._FAMILIES[f][1] == c]
             if not members:
                 continue
             eta = sample_block(n, c, seed=5, scale=1.0, start=0, count=400)
+            if zeros:
+                # exact zeros in a fifth of the entries, keeping the rows that stay in every
+                # cone; a spectrum with a zero entry lies outside the order-n cone
+                eta[np.random.default_rng(c).random(eta.shape) < 0.2] = 0.0
+                eta = eta[in_every_table_cone(eta, c)]
+                assert len(eta) > 20 and ((eta == 0.0).any() or c == n), (n, c)
             tables = ellipticity._Tables(eta, c)
             lam = lambda_from_eta(eta)
             for family, _, k, l in members:
-                slack, rows, _, _ = ellipticity._FAMILIES[family][0](tables, n, k, l)
+                slack, spectra, _, _ = ellipticity._FAMILIES[family][0](tables, n, k, l)
                 if family == "deleted-term-share":
                     want = deleted_term_share(eta, k)
                 elif family.startswith("ellipticity-ratio"):
@@ -378,4 +390,4 @@ class TestSharedTables:
                 else:
                     want = f_grad(lam, OperatorSpec(n, k)).sum(axis=-1) - trace_lower_bound(n, k)
                 assert np.array_equal(slack, want), (family, n, k, l)
-                assert np.array_equal(rows, eta if family in ("deleted-term-share", "maclaurin-ratio") else lam)
+                assert np.array_equal(spectra.T, eta if family in ("deleted-term-share", "maclaurin-ratio") else lam)

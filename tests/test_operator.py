@@ -12,6 +12,7 @@ from hessneumann.operator import (
     f_grad,
     f_grad_matrix,
     f_value,
+    grad_at_eta,
     lambda_from_eta,
     newton_tensors,
 )
@@ -60,6 +61,48 @@ class TestTransforms:
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
             lambda_from_eta([1.0])
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestSpectrumMajorKernels:
+    """The public functions convert to and from spectrum-major kernels; they equal the row formulas bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(), (9,), (3, 4)])
+    def test_transforms_with_zeros(self, shape):
+        rng = np.random.default_rng(3)
+        for n in range(2, 8):
+            vals = rng.standard_normal(shape + (n,)) * 10.0 ** rng.integers(-5, 5, shape + (n,))
+            vals[rng.random(vals.shape) < 0.2] = 0.0
+            vals[rng.random(vals.shape) < 0.1] = -0.0
+            total = vals.sum(axis=-1, keepdims=True)
+            assert bitwise_equal(eta_from_lambda(vals), total - vals), n
+            assert bitwise_equal(lambda_from_eta(vals), total / (n - 1) - vals), n
+
+    @pytest.mark.parametrize("shape", [(), (9,), (3, 4)])
+    def test_gradients_with_zeros(self, shape):
+        rng = np.random.default_rng(4)
+        for n in range(2, 8):
+            for k in range(1, n):
+                for l in (None, *range(1, k)):
+                    spec = OperatorSpec(n, k, l)
+                    c = spec.cone_order
+                    # nonnegative with at least c positive entries: inside the order-c cone
+                    eta = rng.uniform(0.1, 2.0, shape + (n,)) * 10.0 ** rng.integers(-3, 3, shape + (n,))
+                    eta[..., : n - c][rng.random(shape + (n - c,)) < 0.5] = 0.0
+                    e, tk = sigma_all(eta, c), sigma_grad(eta, k)
+                    if l is None:
+                        want = ((1.0 / k) * e[..., k] ** (1.0 / k - 1.0))[..., None] * tk
+                    else:
+                        sk, sl = e[..., k, None], e[..., l, None]
+                        w = (tk * sl - sk * sigma_grad(eta, l)) / sl**2
+                        want = (1.0 / spec.degree) * (sk / sl) ** (1.0 / spec.degree - 1.0) * w
+                    assert bitwise_equal(grad_at_eta(eta, spec), want), (n, k, l)
+                    lam = lambda_from_eta(eta)
+                    g = grad_at_eta(eta_from_lambda(lam), spec)
+                    assert bitwise_equal(f_grad(lam, spec), g.sum(axis=-1, keepdims=True) - g), (n, k, l)
 
 
 class TestEtaMatrix:

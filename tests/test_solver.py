@@ -556,6 +556,18 @@ class TestDiagnostics:
         assert d.sup_hessian_eig == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-10)
         assert d.sup_normal_second == pytest.approx(np.abs(np.diag(a)).max(), rel=1e-10)
 
+    def test_grid_operators_give_the_same_diagnostics(self):
+        grid = BoxGrid((0.0, 0.0, 0.0), (1.0, 2.0, 1.5), 9)
+        u = ScalarField.from_points(grid, perturbed_paraboloid(3, 0.05).value)
+        assert diagnostics(u, ops=solver._GridOperators(grid, 1.0)) == diagnostics(u)
+        with pytest.raises(ValueError, match="different grid"):
+            diagnostics(u, ops=solver._GridOperators(BoxGrid((0.0,) * 3, (1.0,) * 3, 9), 1.0))
+
+    def test_solves_report_the_diagnostics_of_their_solution(self):
+        spec, u0 = paraboloid_spec()
+        for solution, report in (newton_solve(u0, spec), continuation_solve(spec)):
+            assert report.diagnostics == diagnostics(solution)
+
 
 class TestSharedRobinOperator:
     @pytest.mark.parametrize("case", ["perturbed-paraboloid", "perturbed-paraboloid-2d"])
