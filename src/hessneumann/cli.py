@@ -32,6 +32,9 @@ _MIN_ORDER = 1.7
 # sample-cone writes at most this many values, about 23 bytes of CSV text
 # each; it holds one chunk of rows in memory at a time
 _MAX_SAMPLE_VALUES = 4_000_000
+# verify-lemmas keeps one result per 2048-sample block of each of its 85 sweeps,
+# about 200 MB at this many samples (about 500 bytes per result)
+_MAX_SWEEP_SAMPLES = 10_000_000
 
 
 class _Failure(Exception):
@@ -110,6 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify_lemmas(args) -> None:
+    if args.samples > _MAX_SWEEP_SAMPLES:
+        raise _Failure(2, f"--samples {args.samples} exceeds the limit of {_MAX_SWEEP_SAMPLES} samples per sweep")
     try:
         workers = worker_count()
     except ValueError:

@@ -18,7 +18,11 @@ sign/bound facts.  Sweeps are deterministic given (n, k, seed, scale): sample
 generators are derived from (seed, block index) in fixed-size blocks, so any
 chunking of the work, serial or threaded, reproduces the identical stream.
 A draw is shifted into the cone before it is scaled, so the stream at any
-scale is the scale-1 stream times the scale.
+scale is the scale-1 stream times the scale.  The shift is defined by a
+bisection along the diagonal (``_shift_bisect``).  The sampler reproduces it
+float for float from the threshold of sigma_k along the diagonal, found by
+Newton iteration and certified by the predicate on either side, and leaves
+the rows it cannot certify to the bisection itself.
 
 All sweeps on one (n, cone order) stream share its work: each chunk is drawn
 once and walked in blocks, and per block the sigma tables, the deleted tables
@@ -65,6 +69,12 @@ __all__ = [
 _BLOCK = 4096  # samples per derived generator; fixed so chunking never changes the stream
 _BISECT_TOL = 1e-10
 _MARGIN = 1e-6  # sigma margin of the unscaled shifted draw; the scale multiplies afterwards
+_NEWTON_RTOL = 1e-12  # Newton's last relative step, and the half-width of the certified band around t*
+_NEWTON_ITER = 40
+# The bisection from [0, 2^J] ends on cells of 2^_CELL_EXP, the largest power of two
+# <= _BISECT_TOL; all its midpoints are exact in float64 while J - _CELL_EXP <= 53.
+_CELL_EXP = math.frexp(_BISECT_TOL)[1] - 1
+_MAX_EXACT_J = 53 + _CELL_EXP
 # The largest scale the sweeps are run and tested at (100000 samples, n <= 6).
 # Far beyond it the sigma_k of a sample leave the float64 range.
 _MAX_SCALE = 1e6
@@ -86,8 +96,12 @@ def worker_count(workers: int | None = None) -> int:
 
 
 def _block_normals(seed: int, n: int, start: int, count: int) -> np.ndarray:
-    """Standard-normal draws for samples [start, start+count), block-derived."""
-    out = np.empty((count, n))
+    """Standard-normal draws for samples [start, start+count), block-derived, shape (count, n).
+
+    The result is the transpose of contiguous columns (n, count), the layout
+    the sigma kernels read, so _columns takes it without a copy.
+    """
+    out = np.empty((n, count))
     pos = 0
     while pos < count:
         idx = start + pos
@@ -95,18 +109,18 @@ def _block_normals(seed: int, n: int, start: int, count: int) -> np.ndarray:
         offset = idx % _BLOCK
         take = min(_BLOCK - offset, count - pos)
         g = np.random.default_rng((seed, block)).standard_normal((_BLOCK, n))
-        out[pos : pos + take] = g[offset : offset + take]
+        out[:, pos : pos + take] = g[offset : offset + take].T
         pos += take
-    return out
+    return out.T
 
 
-def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
+def _shift_bisect(g: np.ndarray, k: int) -> np.ndarray:
     """Smallest t >= 0 with all sigma_i(g + t*ones) > 1e-6, per row of the unscaled draw g.
 
-    Bisection to absolute tolerance 1e-10 on the predicate-true endpoint, or
-    until float64 cannot halve the bracket any more; each row's trajectory is
-    independent of the batch it is evaluated in.  The predicate runs the sigma
-    recurrence on g transposed once, through buffers reused by every call.
+    The definition of the stream: doubling from t = 1 to a predicate-true
+    bound, then bisection to absolute tolerance 1e-10 on the predicate-true
+    endpoint, or until float64 cannot halve the bracket any more.  Each row's
+    trajectory is independent of the batch it is evaluated in.
     """
     gt = _columns(g)
     shifted = np.empty_like(gt)
@@ -136,6 +150,150 @@ def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
         lo = np.where(active & ~ok, mid, lo)
         active = active & ((hi - lo) > _BISECT_TOL)
     return np.where(done, 0.0, hi)
+
+
+def _largest_root(coef: np.ndarray, lead: float) -> np.ndarray:
+    """Largest real root of lead*t^d + coef[0]*t^(d-1) + ... + coef[d-1] per column of coef (d, m), by Newton.
+
+    The polynomial must be a real-rooted one minus a positive constant, so
+    that it is convex and increasing to the right of the real-rooted one's
+    largest root; Newton started there converges to the largest root, and
+    from above that root it descends monotonically.  The start is the
+    Laguerre-Samuelson bound mean + sqrt(d-1)*sd of the roots, read from the
+    top three coefficients (they are the real-rooted polynomial's for d >= 3,
+    and a quadratic minus a positive constant is real-rooted itself), plus
+    1e-3.  A root has converged once Newton's step is at most _NEWTON_RTOL
+    * (1 + |t|); one that has not after _NEWTON_ITER steps comes back NaN.
+    """
+    d, m = coef.shape
+    if d == 1:
+        return -coef[0] / lead
+    t = _samuelson_bound(coef, lead) + 1e-3
+    p, dp = np.empty(m), np.empty(m)
+    with np.errstate(all="ignore"):  # a row whose step is not finite never converges
+        for _ in range(_NEWTON_ITER):
+            np.multiply(t, lead, out=p)
+            p += coef[0]
+            dp.fill(lead)
+            for j in range(1, d):
+                dp *= t
+                dp += p
+                p *= t
+                p += coef[j]
+            step = np.divide(p, dp, out=p)
+            t -= step
+            np.abs(t, out=dp)
+            dp += 1.0
+            dp *= _NEWTON_RTOL
+            ok = np.abs(step, out=step) <= dp
+            if ok.all():
+                break
+    t[~ok] = np.nan
+    return t
+
+
+def _samuelson_bound(coef: np.ndarray, lead: float) -> np.ndarray:
+    """mean + sqrt(d-1)*sd of the roots of lead*t^d + coef[0]*t^(d-1) + coef[1]*t^(d-2) + ..., d >= 2.
+
+    It bounds the largest root when all d roots are real (Laguerre 1880;
+    Samuelson 1968).
+    """
+    d = coef.shape[0]
+    mean = coef[0] / (-d * lead)
+    var = (coef[0] / lead) ** 2 / d - 2.0 * coef[1] / (d * lead) - mean * mean
+    return mean + math.sqrt(d - 1) * np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+
+
+def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
+    """_shift_bisect(g, k), float for float, from a computed threshold and a few predicate calls per row.
+
+    Along g + t*ones the predicate (all sigma_i > 1e-6) holds, in exact
+    arithmetic, exactly for t above t*, the largest root of
+    sigma_k(g + t*ones) - 1e-6 = sum_j C(n-j, k-j) sigma_j(g) t^(k-j) - 1e-6
+    (for n <= 6, sigma_k = 1e-6 forces every lower sigma_i above 5e-5 in the
+    cone).  Per row outside the cone at t = 0:
+
+    * t* comes from _largest_root on that polynomial;
+    * a certificate runs the real predicate at A = t* - b (false) and
+      B = t* + b (true), b = 1e-12 * (1 + t*), so the predicate is taken as
+      false below A and true above B;
+    * _replay_bisection finds the bisection's last bracket from A and B,
+      asking the real predicate only at midpoints inside [A, B].
+
+    A row whose Newton did not converge, whose A is not positive, whose
+    bisection would leave the exact dyadic range (B > 2^19) or which fails
+    the certificate takes _shift_bisect itself, which stays the definition
+    of the stream.  A call allocates one (n, m) buffer of shifted columns and
+    one (k+1, m) sigma table, which also holds Newton's coefficients; g given
+    as the transpose of contiguous columns, as _block_normals makes it, is
+    read without a copy.
+    """
+    m, n = g.shape
+    gt = _columns(g)
+    shifted = np.empty(n * m)
+    table = np.empty((k + 1) * m)
+
+    def pred(t, cols=None):
+        """The bisection's predicate at shifts t of the columns cols of g (every column when None)."""
+        c = m if cols is None else cols.size
+        x = shifted[: n * c].reshape(n, c)
+        np.add(gt if cols is None else np.take(gt, cols, axis=1, out=x, mode="clip"), t, out=x)
+        return (_sigma_rows(x, k, table[: (k + 1) * c].reshape(k + 1, c))[1:] > _MARGIN).all(axis=0)
+
+    outside = ~pred(0.0)
+    if not outside.any():
+        return np.zeros(m)
+    coef = table.reshape(k + 1, m)[1:]  # sigma_1..sigma_k of g, left there by pred(0.0)
+    coef *= np.array([math.comb(n - j, k - j) for j in range(1, k + 1)])[:, None]
+    coef[-1] -= _MARGIN
+    lo = _largest_root(coef, math.comb(n, k))
+    band = _NEWTON_RTOL * (1.0 + lo)
+    hi = lo + band
+    lo -= band
+    fast = outside & (lo > 0.0) & (hi <= 2.0**_MAX_EXACT_J)
+    # the certificate runs on every column; the others get a shift that cannot overflow
+    np.copyto(lo, 0.0, where=~fast)
+    np.copyto(hi, 0.0, where=~fast)
+    fast &= ~pred(lo)
+    fast &= pred(hi)
+    shift = _replay_bisection(lo, hi, fast, pred)
+    np.copyto(shift, 0.0, where=~fast)
+    slow = np.flatnonzero(outside & ~fast)  # left to the bisection itself
+    if slow.size:
+        shift[slow] = _shift_bisect(g[slow], k)
+    return shift
+
+
+def _replay_bisection(a, b, rows, pred):
+    """_shift_bisect's result on the rows whose predicate is false below a > 0 and true above b <= 2^19.
+
+    From any bound 2^J >= b (J <= 19) the bisection halves exactly down to
+    cells of 2^_CELL_EXP, and where the predicate is known it goes towards
+    the cell of the threshold: its path is decided without the predicate
+    down to the smallest dyadic cell that holds both a's cell ia and b's
+    cell ib.  That cell spans d = bit_length(ia ^ ib) levels (d = 0 when
+    ia = ib); on it the bisection's own update runs, asking pred(t, cols)
+    at the midpoints in [a, b] only.  So the doubling's bound never matters.
+    """
+    ia = np.floor(np.ldexp(a, -_CELL_EXP)).astype(np.int64)
+    ib = np.ceil(np.ldexp(b, -_CELL_EXP)).astype(np.int64) - 1
+    d = np.frexp((ia ^ ib).astype(float))[1]
+    lo = np.ldexp((ia >> d << d).astype(float), _CELL_EXP)
+    hi = lo + np.ldexp(1.0, d + _CELL_EXP)
+    cols = np.flatnonzero(rows & (d > 0))
+    lo_o, hi_o, a, b = lo[cols], hi[cols], a[cols], b[cols]
+    active = np.ones(cols.size, dtype=bool)
+    while active.any():
+        mid = 0.5 * (lo_o + hi_o)
+        active = active & (mid != lo_o) & (mid != hi_o)
+        ok = mid > b
+        ask = active & (mid >= a) & ~ok
+        ok[ask] = pred(mid[ask], cols[ask])
+        hi_o = np.where(active & ok, mid, hi_o)
+        lo_o = np.where(active & ~ok, mid, lo_o)
+        active = active & ((hi_o - lo_o) > _BISECT_TOL)
+    hi[cols] = hi_o
+    return hi
 
 
 def sample_block(n: int, k: int, seed: int, scale: float, start: int, count: int) -> np.ndarray:

@@ -124,6 +124,19 @@ class TestVerifyLemmas:
         assert "error: maclaurin-ratio n=3 k=2 l=1: a sample left the cone" in err
         assert "maclaurin_ratio: sigma_3 = -1 <= 0, spectrum outside the order-3 cone" in err
 
+    def test_samples_over_the_cap_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_plan", lambda *args, **kwargs: pytest.fail("run_plan ran"))
+        argv = ["verify-lemmas", "--samples", str(10**13), "--out", str(tmp_path / "out")]
+        assert "--samples 10000000000000 exceeds the limit of 10000000" in refused_without_allocating(argv, capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_samples_at_the_cap_are_accepted(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_plan", lambda plan, **kwargs: seen.append(kwargs["samples"]) or [])
+        monkeypatch.setattr(cli, "default_sweep_plan", lambda n_max: [])
+        assert main(["verify-lemmas", "--samples", str(cli._MAX_SWEEP_SAMPLES), "--out", str(tmp_path)]) == 0
+        assert seen == [cli._MAX_SWEEP_SAMPLES]
+
     @pytest.mark.parametrize("threads", ["abc", "2.5", "1e3"])
     def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("HN_THREADS", threads)

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +65,46 @@ def bisection_oracle(g, k, margin=1e-6, tol=1e-10):
     return np.where(done, 0.0, hi)
 
 
+def exact_threshold(g, k, margin=1e-6):
+    """The largest root of sigma_k(g + t*ones) - margin for one spectrum g, in rational arithmetic to about 1e-30."""
+
+    def excess(t):
+        s = [Fraction(1)] + [Fraction(0)] * k
+        for x in g:
+            v = Fraction(float(x)) + t
+            for q in range(k, 0, -1):
+                s[q] += v * s[q - 1]
+        return s[k] - Fraction(margin)
+
+    # the bisection ends within 1e-10 above the root, which is simple for these draws
+    near = Fraction(float(bisection_oracle(g[None, :], k)[0]))
+    lo, hi = near - Fraction(1, 10**9), near + Fraction(1, 10**9)
+    assert excess(lo) < 0 < excess(hi)
+    for _ in range(70):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if excess(mid) > 0 else (mid, hi)
+    return hi
+
+
+def draws_with_threshold(n, k, targets, seed):
+    """Rows g, one per target, whose exact threshold t* lies within 1e-15 of that target."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for target in targets:
+        g = rng.standard_normal(n) - 3.0
+        rows.append(g + float(exact_threshold(g, k) - Fraction(target)))
+    return np.array(rows)
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """The number of rows _shift_into_cone hands to the bisection itself, per call since the fixture started."""
+    calls = []
+    real = ellipticity._shift_bisect
+    monkeypatch.setattr(ellipticity, "_shift_bisect", lambda g, k: calls.append(len(g)) or real(g, k))
+    return calls
+
+
 class TestSampler:
     def test_every_sample_in_cone(self):
         for n, k in ((2, 1), (3, 2), (5, 3), (6, 6)):
@@ -120,6 +162,69 @@ class TestSampler:
                 g = ellipticity._block_normals(8, n, 100, 300)
                 want = g + bisection_oracle(g, k)[:, None]
                 assert np.array_equal(sample_block(n, k, seed=8, scale=1.0, start=100, count=300), want)
+
+    def test_rows_already_in_the_cone_are_not_shifted(self):
+        g = np.abs(np.random.default_rng(2).standard_normal((200, 5))) + 0.1
+        g[::2] -= 1.5  # every other row outside the order-4 cone
+        t = _shift_into_cone(g, 4)
+        assert np.array_equal(t, bisection_oracle(g, 4))
+        assert (t[1::2] == 0).all() and (t[::2] > 0).all()
+        assert np.array_equal(_shift_into_cone(np.abs(g) + 1.0, 4), np.zeros(200))
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 1), (5, 3), (6, 5), (6, 6)])
+    def test_thresholds_at_the_doubling_bounds(self, n, k):
+        # t* within the certified band [A, B] of a power of two, where the bisection's doubling stops
+        deltas = (-2e-12, -1e-12, -4e-13, 0.0, 4e-13, 1e-12, 2e-12)
+        g = draws_with_threshold(n, k, [p + d for p in (1.0, 2.0, 4.0) for d in deltas], seed=n * 10 + k)
+        t = _shift_into_cone(g, k)
+        assert np.array_equal(t, bisection_oracle(g, k))
+        assert {1.0, 2.0, 4.0} <= set(t.tolist())
+
+    def test_thresholds_below_the_band_take_the_bisection(self, fallback_rows):
+        g = draws_with_threshold(6, 4, [1e-13, 5e-13, 8e-13, 3e-12, 1e-9], seed=4)
+        assert np.array_equal(_shift_into_cone(g, 4), bisection_oracle(g, 4))
+        assert sum(fallback_rows) == 3  # A = t* - 1e-12 * (1 + t*) <= 0
+
+    def test_clustered_roots(self):
+        # repeated entries: Newton's start lies far above a root of high multiplicity
+        g = np.array(
+            [np.full(6, -c) for c in (0.3, 1.0, 2.5, 7.0)]
+            + [[-1, -1, -1, -2, -2, 0.5], [-1, -1, -1, -1, -1, -1.0000001], [-3, -3, 0, 0, 0, 0.0]]
+        )
+        for k in range(1, 7):
+            assert np.array_equal(_shift_into_cone(g, k), bisection_oracle(g, k))
+
+    def test_thresholds_at_the_end_of_the_exact_range(self, fallback_rows):
+        # past t* = 2^19 the bisection's last halvings are no longer exact in float64
+        g = np.random.default_rng(5).standard_normal((10, 6)) - 3.0
+        targets = 2.0**19 * np.array([0.9, 0.99, 0.999, 0.9999, 1.0001, 1.001, 1.01, 1.3, 1.6, 1.9])
+        g *= (targets / bisection_oracle(g, 5))[:, None]  # t* scales with g up to the margin's 1e-6
+        t = _shift_into_cone(g, 5)
+        assert np.array_equal(t, bisection_oracle(g, 5))
+        assert np.count_nonzero(t > 2.0**19) == 6 <= sum(fallback_rows) < 10  # those six always take it
+
+    @pytest.mark.parametrize("size", [1e5, 1e8])
+    def test_large_draws(self, fallback_rows, size):
+        # past a shift of 2^19 the bisection leaves float64's exact dyadic range, and the rows take it itself
+        g = size * np.random.default_rng(3).standard_normal((60, 6))
+        t = _shift_into_cone(g, 5)
+        assert np.array_equal(t, bisection_oracle(g, 5))
+        assert (sum(fallback_rows) == np.count_nonzero(t)) == (size > 2.0**19)
+
+    @pytest.mark.parametrize("seed", [42, 1, 2024])
+    def test_full_chunk_equals_the_bisection_oracle(self, seed):
+        g = ellipticity._block_normals(seed, 6, 0, ellipticity._CHUNK)
+        assert np.array_equal(_shift_into_cone(g, 5), bisection_oracle(g, 5))
+
+    def test_one_chunk_shift_stays_within_5_mb(self):
+        g = ellipticity._block_normals(42, 6, 0, ellipticity._CHUNK)
+        tracemalloc.start()
+        try:
+            _shift_into_cone(g, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
     @pytest.mark.parametrize("scale", [0.5, 1e-2, 1e-6, 1e6])
     def test_shift_does_not_depend_on_the_scale(self, scale):
