@@ -277,26 +277,13 @@ class _GridOperators:
         return lambda v: lu.solve(scale * v.ravel())
 
 
-def _checked(ops: _GridOperators, grid: BoxGrid, beta: float | None = None) -> _GridOperators:
-    """ops, after checking that it was built for grid, and for beta unless that is None."""
-    if ops.grid != grid:
-        raise ValueError("the grid operators were built for a different grid")
-    if beta is not None and ops.beta != beta:
-        raise ValueError("the grid operators were built for a different beta")
-    return ops
-
-
-def hessian_at(u: ScalarField, node: tuple[int, ...], *, ops: _GridOperators | None = None) -> np.ndarray:
-    """Central-difference Hessian of u at one interior node (exact on quadratics).
-
-    ``ops``, made for u's grid, lends its Hessian map.
-    """
+def hessian_at(u: ScalarField, node: tuple[int, ...]) -> np.ndarray:
+    """Central-difference Hessian of u at one interior node (exact on quadratics)."""
     grid = u.grid
     node = tuple(int(i) for i in node)
     if len(node) != grid.n or any(not 1 <= i <= grid.m - 2 for i in node):
         raise ValueError(f"node {node} is not interior to the grid")
-    hess = _hessian_operator(grid) if ops is None else _checked(ops, grid).hess
-    return _interior_hessians(hess, u.values)[tuple(i - 1 for i in node)]
+    return _interior_hessians(_hessian_operator(grid), u.values)[tuple(i - 1 for i in node)]
 
 
 def _eta_tensors(values: np.ndarray, spec: ProblemSpec, ops: _GridOperators):
@@ -363,22 +350,16 @@ def _max_admissible_step(
     return alpha_out * lo
 
 
-def residual(u: ScalarField, spec: ProblemSpec, *, ops: _GridOperators | None = None) -> ScalarField:
-    """Equation residual at every node; raises ConeError on any inadmissible node.
-
-    ``ops``, made for spec's grid and beta, saves building the grid operators.
-    """
-    ops = _GridOperators(spec.grid, spec.beta) if ops is None else _checked(ops, spec.grid, spec.beta)
+def residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
+    """Equation residual at every node; raises ConeError on any inadmissible node."""
+    ops = _GridOperators(spec.grid, spec.beta)
     _, res = _evaluate(u.values, _eta_tensors(u.values, spec, ops), spec, ops, "iterate")
     return ScalarField(spec.grid, res)
 
 
-def jacobian(u: ScalarField, spec: ProblemSpec, *, ops: _GridOperators | None = None) -> sp.csr_matrix:
-    """Sparse derivative of the residual with respect to every nodal value; raises ConeError off the cone.
-
-    ``ops``, made for spec's grid and beta, saves building the grid operators.
-    """
-    ops = _GridOperators(spec.grid, spec.beta) if ops is None else _checked(ops, spec.grid, spec.beta)
+def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
+    """Sparse derivative of the residual with respect to every nodal value; raises ConeError off the cone."""
+    ops = _GridOperators(spec.grid, spec.beta)
     sig = _eta_tensors(u.values, spec, ops)
     _require_admissible(sig[0], "iterate", origin=1)
     return ops.jacobian(_grad_from_tensors(*sig, spec.op))
@@ -456,7 +437,8 @@ def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops:
     grid = spec.grid
     if u0.grid != grid:
         raise ValueError("initial guess lives on a different grid")
-    _checked(ops, grid, spec.beta)
+    if ops.grid != grid or ops.beta != spec.beta:
+        raise ValueError("preconditioner was built for a different grid or beta")
     psi_t = spec.psi_tilde()
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
 
@@ -602,7 +584,9 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
 def diagnostics(u: ScalarField, *, ops: _GridOperators | None = None) -> Diagnostics:
     """Discrete gradient/Hessian/boundary suprema of a grid field; ``ops``, made for u's grid, lends its Hessian map."""
     grid, values = u.grid, u.values
-    hess = _hessian_operator(grid) if ops is None else _checked(ops, grid).hess
+    if ops is not None and ops.grid != grid:
+        raise ValueError("the grid operators were built for a different grid")
+    hess = _hessian_operator(grid) if ops is None else ops.hess
     sup_gradient = float(np.sqrt(sum(d * d for d in np.gradient(values, *grid.h, edge_order=2))).max())
     sup_hessian_eig = float(np.linalg.eigvalsh(_interior_hessians(hess, values))[..., -1].max())
     second, _ = _face_rows(grid, _NORMAL_D2, grid.h**-2.0)

@@ -352,6 +352,15 @@ class TestSampleCone:
         rows = [f"{i}," + ",".join(f"{v:.17g}" for v in row) for i, row in enumerate(block)]
         assert got == "\n".join(["index,eta1,eta2,eta3", *rows]) + "\n"
 
+    def test_large_n_rows_are_the_bisection(self, tmp_path):
+        from hessneumann import ellipticity
+
+        out = tmp_path / "s.csv"
+        assert main(["sample-cone", "--n", "69", "--k", "35", "--count", "1", "--seed", "0", "--out", str(out)]) == 0
+        g = ellipticity._block_normals(0, 69, 0, 1)
+        row = (g + ellipticity._shift_bisect(g, 35)[:, None])[0]
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "0," + ",".join(f"{v:.17g}" for v in row)
+
     def test_samples_are_in_cone(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sample-cone", "--n", "4", "--k", "3", "--count", "20", "--seed", "1", "--out", str(out)]) == 0

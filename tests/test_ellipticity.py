@@ -173,7 +173,7 @@ class TestSampler:
 
     @pytest.mark.parametrize("n, k", [(3, 2), (4, 1), (5, 3), (6, 5), (6, 6)])
     def test_thresholds_at_the_doubling_bounds(self, n, k):
-        # t* within the certified band [A, B] of a power of two, where the bisection's doubling stops
+        # t* within the checked band [A, B] of a power of two, where the bisection's doubling stops
         deltas = (-2e-12, -1e-12, -4e-13, 0.0, 4e-13, 1e-12, 2e-12)
         g = draws_with_threshold(n, k, [p + d for p in (1.0, 2.0, 4.0) for d in deltas], seed=n * 10 + k)
         t = _shift_into_cone(g, k)
@@ -210,6 +210,13 @@ class TestSampler:
         t = _shift_into_cone(g, 5)
         assert np.array_equal(t, bisection_oracle(g, 5))
         assert (sum(fallback_rows) == np.count_nonzero(t)) == (size > 2.0**19)
+
+    @pytest.mark.parametrize("n, k", [(7, 3), (12, 12), (69, 35)])
+    def test_large_n_takes_the_bisection(self, fallback_rows, n, k):
+        # above n = 6 the replay's reasoning is not checked; C(69, 35) also passes 2^64
+        g = ellipticity._block_normals(3, n, 0, 20)
+        assert np.array_equal(_shift_into_cone(g, k), bisection_oracle(g, k))
+        assert fallback_rows == [20]
 
     @pytest.mark.parametrize("seed", [42, 1, 2024])
     def test_full_chunk_equals_the_bisection_oracle(self, seed):

@@ -307,11 +307,10 @@ def _first_step_outside(values, delta, spec):
 
 def _bisect_max_step(values, delta, spec, alpha_out):
     """Largest admissible step by bisection on residual's own cone check, to float resolution."""
-    ops = solver._GridOperators(spec.grid, spec.beta)
     lo, hi = 0.0, alpha_out
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         try:
-            residual(ScalarField(spec.grid, values + mid * delta), spec, ops=ops)
+            residual(ScalarField(spec.grid, values + mid * delta), spec)
         except ConeError:
             hi = mid
         else:
@@ -563,20 +562,6 @@ class TestDiagnostics:
         assert diagnostics(u, ops=solver._GridOperators(grid, 1.0)) == diagnostics(u)
         with pytest.raises(ValueError, match="different grid"):
             diagnostics(u, ops=solver._GridOperators(BoxGrid((0.0,) * 3, (1.0,) * 3, 9), 1.0))
-
-    def test_grid_operators_give_the_same_residual_jacobian_and_hessian(self):
-        spec, u_star = build_case("perturbed-paraboloid", 9)
-        ops = solver._GridOperators(spec.grid, spec.beta)
-        assert np.array_equal(residual(u_star, spec, ops=ops).values, residual(u_star, spec).values)
-        assert (jacobian(u_star, spec, ops=ops) != jacobian(u_star, spec)).nnz == 0
-        assert np.array_equal(hessian_at(u_star, (4, 3, 5), ops=ops), hessian_at(u_star, (4, 3, 5)))
-        other = solver._GridOperators(BoxGrid(spec.grid.lo, spec.grid.hi, 11), spec.beta)
-        for call in (residual, jacobian, lambda u, spec, ops: hessian_at(u, (4, 3, 5), ops=ops)):
-            with pytest.raises(ValueError, match="different grid"):
-                call(u_star, spec, ops=other)
-        for call in (residual, jacobian):
-            with pytest.raises(ValueError, match="different beta"):
-                call(u_star, spec, ops=solver._GridOperators(spec.grid, spec.beta + 1.0))
 
     def test_solves_report_the_diagnostics_of_their_solution(self):
         spec, u0 = paraboloid_spec()
