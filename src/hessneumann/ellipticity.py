@@ -19,11 +19,13 @@ generators are derived from (seed, block index) in fixed-size blocks, so any
 chunking of the work, serial or threaded, reproduces the identical stream.
 A draw is shifted into the cone before it is scaled, so the stream at any
 scale is the scale-1 stream times the scale.  The shift is defined by a
-bisection along the diagonal (``_shift_bisect``).  For n <= 6 the sampler
-replays it from the threshold of sigma_k along the diagonal, found by Newton
-iteration and checked by the predicate on either side, and leaves the rows
-that fail the check to the bisection itself.  That the replay gives the
-bisection's floats is tested against it, not proven (see _shift_into_cone).
+bisection along the diagonal (``_shift_bisect``), which always ends on a cell
+of the grid 2^-34.  For n <= 6 the sampler finds the threshold of sigma_k
+along the diagonal by Newton iteration, snaps it up to that grid and checks
+the predicate at both ends of the cell below; a row whose Newton failed,
+whose threshold passes 2^19 or which fails the check takes the bisection
+itself.  That the check gives the bisection's floats is tested against it,
+not proven (see _shift_into_cone).
 
 All sweeps on one (n, cone order) stream share its work: each chunk is drawn
 once and walked in blocks, and per block the sigma tables, the deleted tables
@@ -70,13 +72,13 @@ __all__ = [
 _BLOCK = 4096  # samples per derived generator; fixed so chunking never changes the stream
 _BISECT_TOL = 1e-10
 _MARGIN = 1e-6  # sigma margin of the unscaled shifted draw; the scale multiplies afterwards
-_NEWTON_RTOL = 1e-12  # Newton's last relative step, and the half-width of the checked band around t*
+_NEWTON_RTOL = 1e-12  # Newton stops once its step is at most this times 1 + |t|
 _NEWTON_ITER = 40
 # The bisection from [0, 2^J] ends on cells of 2^_CELL_EXP, the largest power of two
 # <= _BISECT_TOL; all its midpoints are exact in float64 while J - _CELL_EXP <= 53.
 _CELL_EXP = math.frexp(_BISECT_TOL)[1] - 1
 _MAX_EXACT_J = 53 + _CELL_EXP
-_REPLAY_MAX_N = 6  # larger n takes the bisection; see _shift_into_cone
+_FAST_MAX_N = 6  # larger n takes the bisection; see _shift_into_cone
 # The largest scale the sweeps are run and tested at (100000 samples, n <= 6).
 # Far beyond it the sigma_k of a sample leave the float64 range.
 _MAX_SCALE = 1e6
@@ -207,103 +209,59 @@ def _samuelson_bound(coef: np.ndarray, lead: float) -> np.ndarray:
 
 
 def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
-    """_shift_bisect(g, k) from a computed threshold and a few predicate calls per row.
+    """_shift_bisect(g, k) from a computed threshold and two predicate calls per row.
 
-    Along g + t*ones the predicate (all sigma_i > 1e-6) holds, in exact
-    arithmetic, exactly for t above t*, the largest root of
-    sigma_k(g + t*ones) - 1e-6 = sum_j C(n-j, k-j) sigma_j(g) t^(k-j) - 1e-6
+    From [0, 2^J], J <= _MAX_EXACT_J, the bisection halves exactly and ends on
+    a cell [hi - c, hi] of the grid c = 2^_CELL_EXP, with the predicate false
+    at hi - c and true at hi.  In exact arithmetic the predicate (all
+    sigma_i > 1e-6) holds along g + t*ones exactly above t*, the largest root
+    of sigma_k(g + t*ones) - 1e-6 = sum_j C(n-j, k-j) sigma_j(g) t^(k-j) - 1e-6
     (for n <= 6, sigma_k = 1e-6 forces every lower sigma_i above 5e-5 in the
-    cone, by Maclaurin's inequalities).  Per row outside the cone at t = 0:
+    cone, by Maclaurin's inequalities).  So a row outside the cone gets t*
+    from _largest_root and keeps hi, the first grid point at or above t*
+    (at least c), when the real predicate is true at hi and false at hi - c.
+    That this is the bisection's cell assumes the float64 predicate changes
+    only once there: tested on all 19 streams of a default sweep plan at
+    seeds 42, 1, 123, 7 and 2024 and by the oracle tests, not proven.
 
-    * t* comes from _largest_root on that polynomial;
-    * the real predicate is checked at A = t* - b (false) and B = t* + b
-      (true), b = 1e-12 * (1 + t*), and then taken as false below A and true
-      above B;
-    * _replay_bisection finds the bisection's last bracket from A and B,
-      asking the real predicate only at midpoints inside [A, B].
-
-    That last step assumes the predicate, as float64 evaluates it, changes
-    only once on each side of [A, B]: true in exact arithmetic, and met by
-    every row checked against the bisection (all 19 streams of a default
-    sweep plan, 760000 rows, at seeds 42, 1, 123, 7 and 2024, and the
-    oracle tests), but not proven for every draw.
-
-    A row whose Newton did not converge, whose A is not positive, whose
-    bisection would leave the exact dyadic range (B > 2^19) or which fails
-    the check takes _shift_bisect itself, which stays the definition of
-    the stream; so does every row for n > 6.  A call allocates one (n, m)
-    buffer of shifted columns and one (k+1, m) sigma table, which also holds
-    Newton's coefficients; g given as the transpose of contiguous columns,
-    as _block_normals makes it, is read without a copy.
+    A row whose Newton did not converge, whose t* passes 2^_MAX_EXACT_J or
+    which fails the check takes _shift_bisect, which stays the definition of
+    the stream; so does every row for n > 6.  Newton's error, about
+    1e-12 * (1 + t*) plus the polynomial's rounding, spans several cells for
+    draws of size 1e3-1e5, where a large share of rows takes the bisection;
+    the sweeps' unscaled standard-normal draws shift by less than 5, where
+    almost none do.  The call allocates one (n, m) block of shifted columns
+    and one (k+1, m) sigma table, which also holds Newton's coefficients; g
+    given as the transpose of contiguous columns, as _block_normals makes it,
+    is read without a copy.
     """
     m, n = g.shape
-    if n > _REPLAY_MAX_N:
+    if n > _FAST_MAX_N:
         return _shift_bisect(g, k)
     gt = _columns(g)
-    shifted = np.empty(n * m)
-    table = np.empty((k + 1) * m)
+    shifted = np.empty((n, m))
+    table = np.empty((k + 1, m))
 
-    def pred(t, cols=None):
-        """The bisection's predicate at shifts t of the columns cols of g (every column when None)."""
-        c = m if cols is None else cols.size
-        x = shifted[: n * c].reshape(n, c)
-        np.add(gt if cols is None else np.take(gt, cols, axis=1, out=x, mode="clip"), t, out=x)
-        return (_sigma_rows(x, k, table[: (k + 1) * c].reshape(k + 1, c))[1:] > _MARGIN).all(axis=0)
+    def pred(t):
+        return (_sigma_rows(np.add(gt, t, out=shifted), k, table)[1:] > _MARGIN).all(axis=0)
 
     outside = ~pred(0.0)
     if not outside.any():
         return np.zeros(m)
-    coef = table.reshape(k + 1, m)[1:]  # sigma_1..sigma_k of g, left there by pred(0.0)
+    coef = table[1:]  # sigma_1..sigma_k of g, left there by pred(0.0)
     coef *= np.array([float(math.comb(n - j, k - j)) for j in range(1, k + 1)])[:, None]
     coef[-1] -= _MARGIN
-    lo = _largest_root(coef, float(math.comb(n, k)))
-    band = _NEWTON_RTOL * (1.0 + lo)
-    hi = lo + band
-    lo -= band
-    fast = outside & (lo > 0.0) & (hi <= 2.0**_MAX_EXACT_J)
-    # the check runs on every column; the others get a shift that cannot overflow
-    np.copyto(lo, 0.0, where=~fast)
-    np.copyto(hi, 0.0, where=~fast)
-    fast &= ~pred(lo)
+    t = _largest_root(coef, float(math.comb(n, k)))
+    fast = outside & (t <= 2.0**_MAX_EXACT_J)  # NaN, where Newton did not converge, compares false
+    np.copyto(t, 0.0, where=~fast)
+    hi = np.ldexp(np.maximum(np.ceil(np.ldexp(t, -_CELL_EXP)), 1.0), _CELL_EXP)
     fast &= pred(hi)
-    shift = _replay_bisection(lo, hi, fast, pred)
-    np.copyto(shift, 0.0, where=~fast)
+    fast &= ~pred(hi - 2.0**_CELL_EXP)
+    shift = np.where(fast, hi, 0.0)
     slow = np.flatnonzero(outside & ~fast)  # left to the bisection itself
     if slow.size:
         shift[slow] = _shift_bisect(g[slow], k)
     return shift
-
-
-def _replay_bisection(a, b, rows, pred):
-    """_shift_bisect's result on the rows whose predicate is false below a > 0 and true above b <= 2^19.
-
-    From any bound 2^J >= b (J <= 19) the bisection halves exactly down to
-    cells of 2^_CELL_EXP, and where the predicate is known it goes towards
-    the cell of the threshold: its path is decided without the predicate
-    down to the smallest dyadic cell that holds both a's cell ia and b's
-    cell ib.  That cell spans d = bit_length(ia ^ ib) levels (d = 0 when
-    ia = ib); on it the bisection's own update runs, asking pred(t, cols)
-    at the midpoints in [a, b] only.  So the doubling's bound never matters.
-    """
-    ia = np.floor(np.ldexp(a, -_CELL_EXP)).astype(np.int64)
-    ib = np.ceil(np.ldexp(b, -_CELL_EXP)).astype(np.int64) - 1
-    d = np.frexp((ia ^ ib).astype(float))[1]
-    lo = np.ldexp((ia >> d << d).astype(float), _CELL_EXP)
-    hi = lo + np.ldexp(1.0, d + _CELL_EXP)
-    cols = np.flatnonzero(rows & (d > 0))
-    lo_o, hi_o, a, b = lo[cols], hi[cols], a[cols], b[cols]
-    active = np.ones(cols.size, dtype=bool)
-    while active.any():
-        mid = 0.5 * (lo_o + hi_o)
-        active = active & (mid != lo_o) & (mid != hi_o)
-        ok = mid > b
-        ask = active & (mid >= a) & ~ok
-        ok[ask] = pred(mid[ask], cols[ask])
-        hi_o = np.where(active & ok, mid, hi_o)
-        lo_o = np.where(active & ~ok, mid, lo_o)
-        active = active & ((hi_o - lo_o) > _BISECT_TOL)
-    hi[cols] = hi_o
-    return hi
 
 
 def sample_block(n: int, k: int, seed: int, scale: float, start: int, count: int) -> np.ndarray:
@@ -630,8 +588,6 @@ def _reduce(entry, results, samples, seed, scale) -> SweepReport:
         for key, val in ex_chunk.items():
             if key.startswith("max_"):
                 extra[key] = max(extra.get(key, -math.inf), val)
-            elif key.startswith("min_"):
-                extra[key] = min(extra.get(key, math.inf), val)
             else:
                 extra[key] = extra.get(key, 0) + val
     extra["tolerance"] = tol

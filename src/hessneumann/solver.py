@@ -67,6 +67,11 @@ _GMRES_RTOL = 1e-10
 _GMRES_RESTART = 60
 _GMRES_MAXITER = 5
 
+# Line search: Armijo's sufficient decrease of the residual sup norm, and the
+# step below which it gives up.
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-12
+
 
 @dataclass(frozen=True)
 class NewtonOptions:
@@ -74,8 +79,6 @@ class NewtonOptions:
 
     tol: float | None = None
     max_iter: int = 50
-    armijo: float = 1e-4
-    min_step: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -403,12 +406,7 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
 # ---------------------------------------------------------------------------
 
 
-def newton_solve(
-    u0: ScalarField,
-    spec: ProblemSpec,
-    opts: NewtonOptions | None = None,
-    preconditioner: _GridOperators | None = None,
-):
+def newton_solve(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None = None):
     """Damped Newton from an admissible start.
 
     Solves J delta = -R by GMRES preconditioned with one LU of
@@ -420,12 +418,10 @@ def newton_solve(
     the accepted trial's Newton tensors build the next Jacobian.  Terminates
     at opts.tol (residual sup norm) or opts.max_iter; returns (solution,
     report) with report.converged telling which.  A GMRES run that misses its
-    tolerance, or a line-search step below opts.min_step, raises
-    NonconvergenceError.  ``preconditioner``, a _GridOperators of this grid
-    and beta, shares its maps and LU between calls (continuation_solve passes
-    one to all its stages); by default each call builds its own.
+    tolerance, or a line-search step below _MIN_STEP, raises
+    NonconvergenceError.
     """
-    ops = _GridOperators(spec.grid, spec.beta) if preconditioner is None else preconditioner
+    ops = _GridOperators(spec.grid, spec.beta)
     solution, report = _newton(u0, spec, opts, ops)
     report.diagnostics = diagnostics(solution, ops=ops)
     return solution, report
@@ -463,8 +459,8 @@ def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops:
         alpha, max_step = 1.0, None
         trials = cone_rejections = armijo_rejections = 0
         while True:
-            if alpha < opts.min_step:
-                raise failure(f"line search underflow (step < {opts.min_step:g})")
+            if alpha < _MIN_STEP:
+                raise failure(f"line search underflow (step < {_MIN_STEP:g})")
             trials += 1
             trial = u + alpha * delta
             sig_t = _eta_tensors(trial, spec, ops)
@@ -478,7 +474,7 @@ def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops:
                     continue
             else:
                 rnorm_t = float(np.abs(res_t).max())
-                if rnorm_t <= (1.0 - opts.armijo * alpha) * rnorm:
+                if rnorm_t <= (1.0 - _ARMIJO * alpha) * rnorm:
                     break
                 armijo_rejections += 1
             alpha *= 0.5
@@ -497,7 +493,7 @@ def _default_targets() -> list[float]:
     return [round(0.1 * i, 12) for i in range(1, 11)]
 
 
-def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, opts: NewtonOptions | None = None):
+def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
     """Continuation from the exactly solvable paraboloid data to the target.
 
     The start u0 = |x - center|^2 / 2 solves the discrete problem with its own
@@ -517,10 +513,8 @@ def continuation_solve(spec: ProblemSpec, schedule: list[float] | None = None, o
     phi0 = spec0.phi.values
     phi1 = spec.phi.values
 
-    if schedule is None:
-        schedule = spec.schedule
-    if schedule is not None:
-        targets = [float(t) for t in schedule]
+    if spec.schedule is not None:
+        targets = list(spec.schedule)
         if targets[-1] != 1.0:
             targets.append(1.0)
     else:

@@ -9,6 +9,7 @@ import pytest
 from hessneumann import ellipticity
 from hessneumann.ellipticity import (
     ConeSampler,
+    _shift_bisect,
     _shift_into_cone,
     default_sweep_plan,
     deleted_term_share,
@@ -173,17 +174,18 @@ class TestSampler:
 
     @pytest.mark.parametrize("n, k", [(3, 2), (4, 1), (5, 3), (6, 5), (6, 6)])
     def test_thresholds_at_the_doubling_bounds(self, n, k):
-        # t* within the checked band [A, B] of a power of two, where the bisection's doubling stops
+        # t* within 2e-12 of a power of two, where the bisection's doubling stops
         deltas = (-2e-12, -1e-12, -4e-13, 0.0, 4e-13, 1e-12, 2e-12)
         g = draws_with_threshold(n, k, [p + d for p in (1.0, 2.0, 4.0) for d in deltas], seed=n * 10 + k)
         t = _shift_into_cone(g, k)
         assert np.array_equal(t, bisection_oracle(g, k))
         assert {1.0, 2.0, 4.0} <= set(t.tolist())
 
-    def test_thresholds_below_the_band_take_the_bisection(self, fallback_rows):
+    def test_thresholds_in_the_first_cell_take_the_fast_path(self, fallback_rows):
+        # t* below one grid cell 2^-34: the check's lower end is t = 0, outside the cone
         g = draws_with_threshold(6, 4, [1e-13, 5e-13, 8e-13, 3e-12, 1e-9], seed=4)
         assert np.array_equal(_shift_into_cone(g, 4), bisection_oracle(g, 4))
-        assert sum(fallback_rows) == 3  # A = t* - 1e-12 * (1 + t*) <= 0
+        assert sum(fallback_rows) == 0
 
     def test_clustered_roots(self):
         # repeated entries: Newton's start lies far above a root of high multiplicity
@@ -201,7 +203,8 @@ class TestSampler:
         g *= (targets / bisection_oracle(g, 5))[:, None]  # t* scales with g up to the margin's 1e-6
         t = _shift_into_cone(g, 5)
         assert np.array_equal(t, bisection_oracle(g, 5))
-        assert np.count_nonzero(t > 2.0**19) == 6 <= sum(fallback_rows) < 10  # those six always take it
+        assert np.count_nonzero(t > 2.0**19) == 6
+        assert sum(fallback_rows) == 10  # Newton's error spans many cells of 2^-34 at t* near 2^19
 
     @pytest.mark.parametrize("size", [1e5, 1e8])
     def test_large_draws(self, fallback_rows, size):
@@ -213,7 +216,7 @@ class TestSampler:
 
     @pytest.mark.parametrize("n, k", [(7, 3), (12, 12), (69, 35)])
     def test_large_n_takes_the_bisection(self, fallback_rows, n, k):
-        # above n = 6 the replay's reasoning is not checked; C(69, 35) also passes 2^64
+        # above n = 6 the threshold's reasoning is not checked; C(69, 35) also passes 2^64
         g = ellipticity._block_normals(3, n, 0, 20)
         assert np.array_equal(_shift_into_cone(g, k), bisection_oracle(g, k))
         assert fallback_rows == [20]
@@ -222,6 +225,16 @@ class TestSampler:
     def test_full_chunk_equals_the_bisection_oracle(self, seed):
         g = ellipticity._block_normals(seed, 6, 0, ellipticity._CHUNK)
         assert np.array_equal(_shift_into_cone(g, 5), bisection_oracle(g, 5))
+
+    def test_sweep_streams_take_the_fast_path(self, fallback_rows):
+        # every (n, cone order) stream of the default plan, two chunks each, at seed 42
+        streams = {(n, k + ellipticity._FAMILIES[f][1]) for f, n, k, _ in default_sweep_plan(6)}
+        assert len(streams) == 19
+        for n, k in sorted(streams):
+            for start in (0, ellipticity._CHUNK):
+                g = ellipticity._block_normals(42, n, start, ellipticity._CHUNK)
+                assert np.array_equal(_shift_into_cone(g, k), _shift_bisect(g, k))
+        assert sum(fallback_rows) <= 40  # of 760000 rows; 23 at this seed
 
     def test_one_chunk_shift_stays_within_5_mb(self):
         g = ellipticity._block_normals(42, 6, 0, ellipticity._CHUNK)

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -271,11 +272,6 @@ class TestNewtonDirection:
         assert rep.residual_norm == np.abs(residual(u0, spec).values).max() and rep.final_margin > 0
         assert len(factored) == 1  # the preconditioner, and no LU of the Jacobian
 
-    def test_preconditioner_must_match_grid_and_beta(self):
-        spec, u_star = paraboloid_spec(m=9)
-        with pytest.raises(ValueError):
-            newton_solve(u_star, spec, preconditioner=solver._GridOperators(spec.grid, 2.0))
-
 
 def _outward_direction(op, m, amplitude):
     """A manufactured paraboloid start and the direction -2 u* + noise, which leaves the cone by alpha = 1."""
@@ -454,7 +450,7 @@ class TestContinuation:
 
     def test_recovers_paraboloid_from_full_path(self):
         spec, u_star = paraboloid_spec(m=9)
-        sol, rep = continuation_solve(spec, schedule=[0.5, 1.0])
+        sol, rep = continuation_solve(replace(spec, schedule=[0.5, 1.0]))
         assert rep.converged and len(rep.continuation) == 2
         assert np.abs(sol.values - u_star.values).max() < 1e-9
 
