@@ -3,8 +3,7 @@
 Subcommands: verify-lemmas (inequality sweeps), solve (continuation solve of
 a problem file), mms-study (manufactured-solution convergence study), and
 sample-cone (emit cone samples).  Exit codes: 0 success, 1 mathematical
-failure (violation or nonconvergence), 2 usage or validation error.  The
-environment variable HN_THREADS caps sweep parallelism.
+failure (violation or nonconvergence), 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -12,14 +11,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import fieldio
-from .ellipticity import _CHUNK, _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_plan, worker_count
+from .ellipticity import _CHUNK, _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_plan
 from .ellipticity import run_sweep  # noqa: F401  (unused here; bench/tracing.py patches this binding)
 from .problem import _MAX_NODES, MANUFACTURED_CASES, ProblemFormatError, build_case, load_problem
 from .solver import NewtonOptions, NonconvergenceError, continuation_solve, newton_solve
@@ -115,13 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify_lemmas(args) -> None:
     if args.samples > _MAX_SWEEP_SAMPLES:
         raise _Failure(2, f"--samples {args.samples} exceeds the limit of {_MAX_SWEEP_SAMPLES} samples per sweep")
-    try:
-        workers = worker_count()
-    except ValueError:
-        raise _Failure(2, f"HN_THREADS must be an integer (got {os.environ['HN_THREADS']!r})") from None
     args.out.mkdir(parents=True, exist_ok=True)
     plan = default_sweep_plan(args.n_max)
-    reports = run_plan(plan, samples=args.samples, seed=args.seed, scale=args.scale, workers=workers)
+    reports = run_plan(plan, samples=args.samples, seed=args.seed, scale=args.scale)
     for (family, n, k, l), rep in zip(plan, reports):
         tag = f"{family}_n{n}_k{k}" + (f"_l{l}" if l is not None else "")
         (args.out / f"{tag}.json").write_text(rep.to_json() + "\n", encoding="utf-8")

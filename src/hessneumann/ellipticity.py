@@ -16,7 +16,7 @@ The positive constants themselves are not known in closed form except for the
 last two bounds; sweeps therefore report empirical infima and assert only
 sign/bound facts.  Sweeps are deterministic given (n, k, seed, scale): sample
 generators are derived from (seed, block index) in fixed-size blocks, so any
-chunking of the work, serial or threaded, reproduces the identical stream.
+chunking of the work reproduces the identical stream.
 A draw is shifted into the cone before it is scaled, so the stream at any
 scale is the scale-1 stream times the scale.  The shift is defined by a
 bisection along the diagonal (``_shift_bisect``), which always ends on a cell
@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (unused here; bench/tracing.py patches this binding)
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -89,14 +88,9 @@ def _require_scale(scale: float) -> None:
         raise ValueError(f"scale must lie in (0, {_MAX_SCALE:g}] (got {scale!r})")
 
 
-def worker_count(workers: int | None = None) -> int:
-    """Resolve the sweep parallelism: explicit arg, then HN_THREADS, then cores."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("HN_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def worker_count() -> int:
+    """The sweeps run on the calling thread; only bench/run.py reads this, for its context line."""
+    return 1
 
 
 def _block_normals(seed: int, n: int, start: int, count: int) -> np.ndarray:
@@ -511,15 +505,16 @@ _FAMILIES = {
 }
 
 
-def run_plan(plan, *, samples, seed, scale=1.0, workers=None) -> list[SweepReport]:
+def run_plan(plan, *, samples, seed, scale=1.0) -> list[SweepReport]:
     """Run planned (family, n, k, l) sweeps; the reports come back in plan order.
 
     Sweeps that sample the same (n, cone order) stream form one group.  Each
     chunk of that stream is drawn once, by one task that walks it in blocks of
     _SUB_BLOCK rows and evaluates every sweep of the group on each block's
-    shared tables; all tasks share one thread pool.  Each sweep's block results
-    are then reduced in stream order, so a report does not depend on the plan
-    it ran in, on the worker count or on the block size.
+    shared tables; the tasks run one after another on the calling thread.
+    Each sweep's block results are then reduced in stream order, so a report
+    does not depend on the plan it ran in, on the chunk size or on the block
+    size.
     """
     if samples <= 0:
         raise ValueError("empty sweep: samples must be positive")
@@ -562,8 +557,7 @@ def run_plan(plan, *, samples, seed, scale=1.0, workers=None) -> list[SweepRepor
                 results.append((float(slack[j]), spectra[:, j].tolist(), viol, extra, dt))
         return out
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(workers), len(tasks))) as ex:
-        done = list(ex.map(lambda t: task(*t), tasks))
+    done = [task(*t) for t in tasks]
     blocks: list[list] = [[] for _ in plan]
     for (_, members, _, _), results in zip(tasks, done):
         for i, member_results in zip(members, results):
@@ -596,29 +590,29 @@ def _reduce(entry, results, samples, seed, scale) -> SweepReport:
     return SweepReport(family, n, k, l, samples, seed, scale, float(min_ratio), argmin, violations, wall_time, extra)
 
 
-def sweep_deleted_term_share(n, k, samples, seed, scale=1.0, workers=None) -> SweepReport:
+def sweep_deleted_term_share(n, k, samples, seed, scale=1.0) -> SweepReport:
     """Positivity sweep of deleted_term_share over order-k cone samples."""
-    return run_sweep("deleted-term-share", n, k, None, samples=samples, seed=seed, scale=scale, workers=workers)
+    return run_sweep("deleted-term-share", n, k, None, samples=samples, seed=seed, scale=scale)
 
 
-def sweep_ellipticity_ratio(n, k, l=None, *, samples, seed, scale=1.0, workers=None) -> SweepReport:
+def sweep_ellipticity_ratio(n, k, l=None, *, samples, seed, scale=1.0) -> SweepReport:
     """Positivity and scale-invariance sweep of ellipticity_ratio.
 
     Samples are drawn in the order-k cone (pure) or order-(k+1) cone
     (quotient) and mapped back through the inverse transform.
     """
     family = "ellipticity-ratio" if l is None else "ellipticity-ratio-quotient"
-    return run_sweep(family, n, k, l, samples=samples, seed=seed, scale=scale, workers=workers)
+    return run_sweep(family, n, k, l, samples=samples, seed=seed, scale=scale)
 
 
-def sweep_maclaurin_ratio(n, k, l, *, samples, seed, scale=1.0, workers=None) -> SweepReport:
+def sweep_maclaurin_ratio(n, k, l, *, samples, seed, scale=1.0) -> SweepReport:
     """Two-sided bound sweep of maclaurin_ratio over order-(k+1) cone samples."""
-    return run_sweep("maclaurin-ratio", n, k, l, samples=samples, seed=seed, scale=scale, workers=workers)
+    return run_sweep("maclaurin-ratio", n, k, l, samples=samples, seed=seed, scale=scale)
 
 
-def sweep_trace_bound(n, k, *, samples, seed, scale=1.0, workers=None) -> SweepReport:
+def sweep_trace_bound(n, k, *, samples, seed, scale=1.0) -> SweepReport:
     """Sweep of sum_i f_i against its explicit lower bound (pure operator)."""
-    return run_sweep("trace-bound", n, k, None, samples=samples, seed=seed, scale=scale, workers=workers)
+    return run_sweep("trace-bound", n, k, None, samples=samples, seed=seed, scale=scale)
 
 
 def default_sweep_plan(n_max: int):
@@ -639,6 +633,6 @@ def default_sweep_plan(n_max: int):
     return plan
 
 
-def run_sweep(family: str, n: int, k: int, l: int | None, *, samples, seed, scale=1.0, workers=None) -> SweepReport:
+def run_sweep(family: str, n: int, k: int, l: int | None, *, samples, seed, scale=1.0) -> SweepReport:
     """One planned sweep by family name, run as a one-item plan."""
-    return run_plan([(family, n, k, l)], samples=samples, seed=seed, scale=scale, workers=workers)[0]
+    return run_plan([(family, n, k, l)], samples=samples, seed=seed, scale=scale)[0]

@@ -428,13 +428,14 @@ def newton_solve(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None 
 
 
 def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops: _GridOperators):
-    """newton_solve without the diagnostics, which continuation_solve needs for its final solution only."""
+    """newton_solve without the diagnostics, which continuation_solve needs for its final solution only.
+
+    ``ops`` must be built from spec's grid and beta; both callers build it so.
+    """
     opts = opts or NewtonOptions()
     grid = spec.grid
     if u0.grid != grid:
         raise ValueError("initial guess lives on a different grid")
-    if ops.grid != grid or ops.beta != spec.beta:
-        raise ValueError("preconditioner was built for a different grid or beta")
     psi_t = spec.psi_tilde()
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
 

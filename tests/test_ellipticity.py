@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -277,7 +278,7 @@ class TestDeletedTermShare:
         assert deleted_term_share([1.0, 4.0, 1.0], 2) == deleted_term_share([4.0, 1.0, 1.0], 2)
 
     def test_positive_on_sweep(self):
-        rep = sweep_deleted_term_share(4, 2, samples=5000, seed=11, workers=1)
+        rep = sweep_deleted_term_share(4, 2, samples=5000, seed=11)
         assert rep.violations == 0
         assert rep.min_ratio > 0
 
@@ -301,9 +302,9 @@ class TestEllipticityRatio:
         assert np.abs(r1 - r10).max() <= 1e-12
 
     def test_sweeps_positive(self):
-        rep = sweep_ellipticity_ratio(3, 2, samples=5000, seed=17, workers=1)
+        rep = sweep_ellipticity_ratio(3, 2, samples=5000, seed=17)
         assert rep.violations == 0 and 0 < rep.min_ratio <= 1.0 / 3.0 + 1e-15
-        repq = sweep_ellipticity_ratio(4, 3, 1, samples=5000, seed=17, workers=1)
+        repq = sweep_ellipticity_ratio(4, 3, 1, samples=5000, seed=17)
         assert repq.violations == 0 and repq.min_ratio > 0
 
 
@@ -327,7 +328,7 @@ class TestMaclaurinRatio:
         assert (alpha < 0.25).all() and (alpha > 0).all()
 
     def test_sweep(self):
-        rep = sweep_maclaurin_ratio(4, 2, 1, samples=5000, seed=19, workers=1)
+        rep = sweep_maclaurin_ratio(4, 2, 1, samples=5000, seed=19)
         assert rep.violations == 0
         assert rep.extra["max_alpha"] <= maclaurin_bound(4, 2, 1) + 1e-12
 
@@ -352,23 +353,25 @@ class TestTraceBound:
             trace_check([1.0, 1.0, 1.0], OperatorSpec(3, 2, 1))
 
     def test_sweep(self):
-        rep = sweep_trace_bound(5, 3, samples=5000, seed=23, workers=1)
+        rep = sweep_trace_bound(5, 3, samples=5000, seed=23)
         assert rep.violations == 0
         assert rep.min_ratio > -1e-10
 
 
 class TestSweepReports:
     def test_json_and_csv(self):
-        rep = sweep_trace_bound(3, 2, samples=1000, seed=29, workers=1)
+        rep = sweep_trace_bound(3, 2, samples=1000, seed=29)
         doc = json.loads(rep.to_json())
         assert doc["samples"] == 1000 and doc["label"] == "trace-bound"
         assert len(doc["argmin"]) == 3
         row = rep.csv_row()
         assert row.startswith("trace-bound,3,2,,1000,29,")
 
-    def test_deterministic_modulo_wall_time(self):
-        a = sweep_ellipticity_ratio(3, 2, samples=4000, seed=31, workers=1)
-        b = sweep_ellipticity_ratio(3, 2, samples=4000, seed=31, workers=2)
+    def test_deterministic_modulo_wall_time(self, monkeypatch):
+        a = sweep_ellipticity_ratio(3, 2, samples=4000, seed=31)
+        monkeypatch.setattr(ellipticity, "_CHUNK", 1500)  # 4000 samples: chunks of 1500, 1500 and 1000
+        monkeypatch.setattr(ellipticity, "_SUB_BLOCK", 300)
+        b = sweep_ellipticity_ratio(3, 2, samples=4000, seed=31)
         assert a.csv_row() == b.csv_row()
         da, db = json.loads(a.to_json()), json.loads(b.to_json())
         da.pop("wall_time"), db.pop("wall_time")
@@ -376,12 +379,12 @@ class TestSweepReports:
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
-            sweep_trace_bound(3, 2, samples=0, seed=1, workers=1)
+            sweep_trace_bound(3, 2, samples=0, seed=1)
 
     @pytest.mark.parametrize("scale", [0.0, math.nan, math.inf, 1e300])
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ValueError):
-            sweep_trace_bound(3, 2, samples=10, seed=1, scale=scale, workers=1)
+            sweep_trace_bound(3, 2, samples=10, seed=1, scale=scale)
 
 
 def _json_without_wall_time(rep):
@@ -394,17 +397,16 @@ class TestRunPlan:
     # every family, with pure and quotient sweeps sharing the (4, 3) stream
     PLAN = [entry for entry in default_sweep_plan(4) if entry[1] == 4 and entry[2] >= 2]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_same_reports_as_single_sweeps(self, monkeypatch, workers):
+    def test_same_reports_as_single_sweeps(self, monkeypatch):
         assert {family for family, *_ in self.PLAN} == set(ellipticity._FAMILIES)
-        unsplit = run_plan(self.PLAN, samples=1900, seed=37, workers=workers)
+        unsplit = run_plan(self.PLAN, samples=1900, seed=37)
         monkeypatch.setattr(ellipticity, "_CHUNK", 700)  # 1900 samples: chunks of 700, 700 and 500
         for sub_block in (7, 700):
             monkeypatch.setattr(ellipticity, "_SUB_BLOCK", sub_block)
-            reports = run_plan(self.PLAN, samples=1900, seed=37, workers=workers)
+            reports = run_plan(self.PLAN, samples=1900, seed=37)
             assert len(reports) == len(self.PLAN)
             for (family, n, k, l), rep, whole in zip(self.PLAN, reports, unsplit):
-                alone = run_sweep(family, n, k, l, samples=1900, seed=37, workers=workers)
+                alone = run_sweep(family, n, k, l, samples=1900, seed=37)
                 assert (rep.label, rep.n, rep.k, rep.l) == (family, n, k, l)
                 assert rep.csv_row() == alone.csv_row() == whole.csv_row()
                 assert _json_without_wall_time(rep) == _json_without_wall_time(alone) == _json_without_wall_time(whole)
@@ -420,20 +422,19 @@ class TestRunPlan:
             return real(n, c, seed, scale, start, count)
 
         monkeypatch.setattr(ellipticity, "sample_block", counting)
-        run_plan(self.PLAN, samples=1900, seed=37, workers=2)
+        run_plan(self.PLAN, samples=1900, seed=37)
         streams = {(4, 2), (4, 3), (4, 4)}
         chunks = [(0, 700), (700, 700), (1400, 500)]
         assert sorted(calls) == sorted((n, c, s, m) for n, c in streams for s, m in chunks)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_cone_error_names_the_first_failing_sweep(self, monkeypatch, workers):
+    def test_cone_error_names_the_first_failing_sweep(self, monkeypatch):
         outside_eta_cone(monkeypatch, n=4)
         message = (
             "maclaurin-ratio n=4 k=2 l=1: a sample left the cone: "
             "maclaurin_ratio: sigma_3 = -1 <= 0, spectrum outside the order-3 cone"
         )
         with pytest.raises(ConeError, match=message) as info:
-            run_plan(default_sweep_plan(4), samples=100, seed=1, workers=workers)
+            run_plan(default_sweep_plan(4), samples=100, seed=1)
         assert (info.value.order, info.value.value) == (3, -1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -445,10 +446,37 @@ class TestRunPlan:
             return slack, eta, 0, {}
 
         monkeypatch.setitem(ellipticity._FAMILIES, "trace-bound", (bad_at_sample_3, 0, 1e-10, None))
-        rep = run_sweep("trace-bound", 3, 2, None, samples=10, seed=1, workers=1)
+        rep = run_sweep("trace-bound", 3, 2, None, samples=10, seed=1)
         assert rep.violations == 1
         assert rep.min_ratio == -math.inf
         assert rep.argmin == sample_block(3, 2, 1, 1.0, 3, 1)[0].tolist()
+
+    def test_extra_counts_add_up_and_maxima_keep_the_largest(self, monkeypatch):
+        blocks = iter(range(100))
+
+        def per_block(tables, n, k, l):
+            eta = tables.spectra("eta")
+            return np.ones(eta.shape[1]), eta, 0, {"positivity_violations": 1, "max_alpha": next(blocks)}
+
+        monkeypatch.setitem(ellipticity._FAMILIES, "trace-bound", (per_block, 0, 1e-10, None))
+        monkeypatch.setattr(ellipticity, "_SUB_BLOCK", 7)
+        rep = run_sweep("trace-bound", 3, 2, None, samples=100, seed=1)  # blocks 0..14, the last of 2 rows
+        assert rep.extra == {"positivity_violations": 15, "max_alpha": 14, "tolerance": 1e-10}
+
+    def test_sweeps_start_no_thread(self, monkeypatch):
+        threads_before = threading.active_count()
+        seen = []
+        real = ellipticity.sample_block
+
+        def recording(*args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            return real(*args)
+
+        monkeypatch.setattr(ellipticity, "sample_block", recording)
+        run_plan(default_sweep_plan(3), samples=500, seed=3)
+        assert len(seen) == 4  # streams (2, 1), (3, 1), (3, 2) and (3, 3)
+        assert set(seen) == {(threading.main_thread(), threads_before)}
+        assert threading.active_count() == threads_before
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown sweep family"):
