@@ -137,14 +137,15 @@ class TestVerifyLemmas:
         assert main(["verify-lemmas", "--samples", str(cli._MAX_SWEEP_SAMPLES), "--out", str(tmp_path)]) == 0
         assert seen == [cli._MAX_SWEEP_SAMPLES]
 
-    def test_thread_count_variable_is_ignored(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("threads", ["abc", "2.5", "1e3"])
+    def test_thread_count_variable_is_ignored(self, tmp_path, monkeypatch, threads):
         argv = ["verify-lemmas", "--n-max", "3", "--samples", "100"]
         monkeypatch.delenv("HN_THREADS", raising=False)
         assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
-        monkeypatch.setenv("HN_THREADS", "abc")
-        assert main([*argv, "--out", str(tmp_path / "abc")]) == 0
+        monkeypatch.setenv("HN_THREADS", threads)
+        assert main([*argv, "--out", str(tmp_path / "set")]) == 0
         summary = (tmp_path / "plain" / "summary.csv").read_bytes()
-        assert (tmp_path / "abc" / "summary.csv").read_bytes() == summary
+        assert (tmp_path / "set" / "summary.csv").read_bytes() == summary
 
 
 class TestSolve:

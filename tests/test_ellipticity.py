@@ -397,16 +397,17 @@ class TestRunPlan:
     # every family, with pure and quotient sweeps sharing the (4, 3) stream
     PLAN = [entry for entry in default_sweep_plan(4) if entry[1] == 4 and entry[2] >= 2]
 
-    def test_same_reports_as_single_sweeps(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_reports_as_single_sweeps(self, monkeypatch, seed):
         assert {family for family, *_ in self.PLAN} == set(ellipticity._FAMILIES)
-        unsplit = run_plan(self.PLAN, samples=1900, seed=37)
+        unsplit = run_plan(self.PLAN, samples=1900, seed=seed)
         monkeypatch.setattr(ellipticity, "_CHUNK", 700)  # 1900 samples: chunks of 700, 700 and 500
         for sub_block in (7, 700):
             monkeypatch.setattr(ellipticity, "_SUB_BLOCK", sub_block)
-            reports = run_plan(self.PLAN, samples=1900, seed=37)
+            reports = run_plan(self.PLAN, samples=1900, seed=seed)
             assert len(reports) == len(self.PLAN)
             for (family, n, k, l), rep, whole in zip(self.PLAN, reports, unsplit):
-                alone = run_sweep(family, n, k, l, samples=1900, seed=37)
+                alone = run_sweep(family, n, k, l, samples=1900, seed=seed)
                 assert (rep.label, rep.n, rep.k, rep.l) == (family, n, k, l)
                 assert rep.csv_row() == alone.csv_row() == whole.csv_row()
                 assert _json_without_wall_time(rep) == _json_without_wall_time(alone) == _json_without_wall_time(whole)
@@ -427,14 +428,15 @@ class TestRunPlan:
         chunks = [(0, 700), (700, 700), (1400, 500)]
         assert sorted(calls) == sorted((n, c, s, m) for n, c in streams for s, m in chunks)
 
-    def test_cone_error_names_the_first_failing_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cone_error_names_the_first_failing_sweep(self, monkeypatch, seed):
         outside_eta_cone(monkeypatch, n=4)
         message = (
             "maclaurin-ratio n=4 k=2 l=1: a sample left the cone: "
             "maclaurin_ratio: sigma_3 = -1 <= 0, spectrum outside the order-3 cone"
         )
         with pytest.raises(ConeError, match=message) as info:
-            run_plan(default_sweep_plan(4), samples=100, seed=1)
+            run_plan(default_sweep_plan(4), samples=100, seed=seed)
         assert (info.value.order, info.value.value) == (3, -1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
