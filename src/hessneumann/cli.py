@@ -13,15 +13,18 @@ import contextlib
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import fieldio
 from .ellipticity import _CHUNK, _MAX_SCALE, ConeSampler, SweepReport, default_sweep_plan, run_plan
 from .ellipticity import run_sweep  # noqa: F401  (unused here; bench/tracing.py patches this binding)
-from .problem import _MAX_NODES, MANUFACTURED_CASES, ProblemFormatError, build_case, load_problem
-from .solver import NewtonOptions, NonconvergenceError, continuation_solve, newton_solve
+from .problem import _MAX_NODES, MANUFACTURED_CASES, NonconvergenceError, ProblemFormatError, build_case, load_problem
 from .symfun import ConeError
+
+if TYPE_CHECKING:
+    from .solver import NewtonOptions, continuation_solve, newton_solve
 
 __all__ = ["main", "entry"]
 
@@ -33,6 +36,27 @@ _MAX_SAMPLE_VALUES = 4_000_000
 # verify-lemmas keeps one result per 2048-sample block of each of its 85 sweeps,
 # about 200 MB at this many samples (about 500 bytes per result)
 _MAX_SWEEP_SAMPLES = 10_000_000
+
+
+# Only solve and mms-study need the solver, and with it scipy.sparse: _load_solver
+# imports it on first use and binds these names here, as a module-level import
+# would.  A binding already set on this module (a test's or a tracer's wrapper)
+# is kept.
+_SOLVER_NAMES = ("NewtonOptions", "newton_solve", "continuation_solve")
+
+
+def _load_solver() -> None:
+    from . import solver
+
+    for name in _SOLVER_NAMES:
+        globals().setdefault(name, getattr(solver, name))
+
+
+def __getattr__(name):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_solver()
+    return globals()[name]
 
 
 class _Failure(Exception):
@@ -141,6 +165,7 @@ def _cmd_verify_lemmas(args) -> None:
 
 def _cmd_solve(args) -> None:
     spec = load_problem(args.problem)
+    _load_solver()
     args.out.mkdir(parents=True, exist_ok=True)
     opts = NewtonOptions(tol=args.tol, max_iter=args.max_iter)
     try:
@@ -163,6 +188,7 @@ def _cmd_mms_study(args) -> None:
     for m in args.grids:
         if m**dim > _MAX_NODES:
             raise _Failure(2, f"grid of {m}^{dim} nodes exceeds the limit of {_MAX_NODES} nodes")
+    _load_solver()
     args.out.mkdir(parents=True, exist_ok=True)
     rows = []
     prev = None

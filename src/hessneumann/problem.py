@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -13,6 +13,9 @@ from .expr import ExpressionError, compile_expression
 from .grid import BoxGrid, ScalarField
 from .operator import OperatorSpec
 from .symfun import ConeError, sigma_all
+
+if TYPE_CHECKING:
+    from .solver import SolveReport
 
 __all__ = [
     "ProblemSpec",
@@ -24,6 +27,8 @@ __all__ = [
     "build_case",
     "ProblemFormatError",
     "load_problem",
+    "NonconvergenceError",
+    "ContinuationError",
 ]
 
 
@@ -227,6 +232,20 @@ def build_case(case_id: str, m: int):
 
 class ProblemFormatError(ValueError):
     """A problem file is malformed or fails validation."""
+
+
+# The solver's failures are defined here rather than in solver, so that code
+# which only catches them (the command line's main) does not import scipy.
+class NonconvergenceError(RuntimeError):
+    """Newton failed (a GMRES miss or a line-search underflow); carries the partial report."""
+
+    def __init__(self, message: str, report: SolveReport):
+        super().__init__(message)
+        self.report = report
+
+
+class ContinuationError(NonconvergenceError):
+    """The continuation path could not reach t = 1 above the minimum step."""
 
 
 # 3-D m = 65 is the largest grid the solver is sized for.  Memory grows faster

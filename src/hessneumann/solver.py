@@ -32,6 +32,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .grid import BoxGrid, ScalarField
 from .operator import _grad_from_tensors, _value_from_sigmas, newton_tensors
 from .operator import grad_at_eta  # noqa: F401  (unused here, like sigma_all; bench/tracing.py patches both)
+from .problem import ContinuationError, NonconvergenceError  # noqa: F401  (defined in problem, which loads no scipy)
 from .problem import ProblemSpec, _require_admissible, manufactured_problem, paraboloid
 from .symfun import ConeError, sigma_all  # noqa: F401
 
@@ -148,18 +149,6 @@ class SolveReport:
     def to_dict(self) -> dict:
         """The report.json payload: the fields above, records nested as dicts."""
         return asdict(self)
-
-
-class NonconvergenceError(RuntimeError):
-    """Newton failed (a GMRES miss or a line-search underflow); carries the partial report."""
-
-    def __init__(self, message: str, report: SolveReport):
-        super().__init__(message)
-        self.report = report
-
-
-class ContinuationError(NonconvergenceError):
-    """The continuation path could not reach t = 1 above the minimum step."""
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +376,22 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
         iterations += 1
 
     pinv = LinearOperator(mat.shape, matvec=precond.solver(mat.diagonal()), dtype=float)
-    x, info = gmres(
-        mat,
-        rhs,
-        rtol=_GMRES_RTOL,
-        atol=0.0,
-        restart=_GMRES_RESTART,
-        maxiter=_GMRES_MAXITER,
-        M=pinv,
-        callback=count,
-        callback_type="pr_norm",
-    )
+    # With data at the edge of float64 (|phi| near 1e154, or beta far from 1)
+    # GMRES's 2-norms of rhs and pinv @ rhs overflow.  Its step is then no
+    # descent direction, the line search underflows and the caller reports a
+    # NonconvergenceError, so numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, info = gmres(
+            mat,
+            rhs,
+            rtol=_GMRES_RTOL,
+            atol=0.0,
+            restart=_GMRES_RESTART,
+            maxiter=_GMRES_MAXITER,
+            M=pinv,
+            callback=count,
+            callback_type="pr_norm",
+        )
     return (x if info == 0 else None), iterations
 
 
