@@ -28,10 +28,10 @@ itself.  That the check gives the bisection's floats is tested against it,
 not proven (see _shift_into_cone).
 
 All sweeps on one (n, cone order) stream share its work: each chunk is drawn
-once and walked in blocks, and per block the sigma tables, the deleted tables
-and the operator gradients are built once and read by every sweep of the
-group.  These tables keep the spectrum on axis 0 and the public functions
-below keep it on the last axis; both compute the same floats on a block.
+once and walked in blocks, whose sigma tables, deleted tables and operator
+gradients are built once, read by every sweep of the group and freed once each
+sweep has folded its result into its report.  The tables keep the spectrum on
+axis 0, the public functions below on the last; both give the same floats.
 """
 
 from __future__ import annotations
@@ -509,85 +509,69 @@ def run_plan(plan, *, samples, seed, scale=1.0) -> list[SweepReport]:
     """Run planned (family, n, k, l) sweeps; the reports come back in plan order.
 
     Sweeps that sample the same (n, cone order) stream form one group.  Each
-    chunk of that stream is drawn once, by one task that walks it in blocks of
-    _SUB_BLOCK rows and evaluates every sweep of the group on each block's
-    shared tables; the tasks run one after another on the calling thread.
-    Each sweep's block results are then reduced in stream order, so a report
-    does not depend on the plan it ran in, on the chunk size or on the block
-    size.
+    chunk of that stream is drawn once and walked in blocks of _SUB_BLOCK
+    rows, and each block's result for every sweep of the group is folded into
+    that sweep's report in stream order, so a report does not depend on the
+    plan it ran in, on the chunk size or on the block size.  A ConeError
+    names the sweep that failed first in plan order, not in run order.
     """
     if samples <= 0:
         raise ValueError("empty sweep: samples must be positive")
-    if not plan:
-        return []
-    groups: dict[tuple[int, int], list[int]] = {}
+    reports: list[SweepReport] = []
+    groups: dict[tuple[int, int], list[tuple[int, SweepReport]]] = {}
     for i, (family, n, k, l) in enumerate(plan):
         if family not in _FAMILIES:
             raise ValueError(f"unknown sweep family: {family}")
-        groups.setdefault((n, k + _FAMILIES[family][1]), []).append(i)
-    ranges = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]
-    tasks = [(key, members, start, count) for key, members in groups.items() for start, count in ranges]
+        _, order, tol, bound = _FAMILIES[family]
+        extra = {"tolerance": tol} if bound is None else {"tolerance": tol, "bound": bound(n, k, l)}
+        reports.append(SweepReport(family, n, k, l, samples, seed, scale, math.inf, None, 0, 0.0, extra))
+        groups.setdefault((n, k + order), []).append((i, reports[i]))
+    errors: dict[int, ConeError] = {}
+    for (n, c), sweeps in groups.items():
+        for start in range(0, samples, _CHUNK):
+            # a call of its own, so that each chunk and its tables are freed before the next draw
+            _fold_chunk((n, c, seed, scale, start, min(_CHUNK, samples - start)), sweeps, errors)
+    if errors:
+        i = min(errors)
+        (family, n, k, l), exc = plan[i], errors[i]
+        message = f"{family} n={n} k={k} l={l}: a sample left the cone: {exc}"
+        raise ConeError(message, order=exc.order, value=exc.value) from exc
+    return reports
 
-    def task(key, members, start, count):
-        t0 = time.perf_counter()
-        eta = sample_block(key[0], key[1], seed, scale, start, count)
-        draw_share = (time.perf_counter() - t0) / len(members)
-        out = [[] for _ in members]
-        for a in range(0, count, _SUB_BLOCK):
-            tables = _Tables(eta[a : a + _SUB_BLOCK], key[1])
-            for i, results in zip(members, out):
-                if results and isinstance(results[-1], ConeError):
-                    continue
-                family, n, k, l = plan[i]
-                t0 = time.perf_counter()
-                try:
-                    slack, spectra, viol, extra = _FAMILIES[family][0](tables, n, k, l)
-                except ConeError as exc:
-                    results.append(exc)
-                    continue
-                # NaN and +inf pass every family's `slack < -tol` test; count them
-                # here and rank every non-finite slack lowest, so argmin names it
-                finite = np.isfinite(slack)
-                if not finite.all():
-                    viol += int((np.isnan(slack) | (slack == np.inf)).sum())
-                    slack = np.where(finite, slack, -np.inf)
-                j = int(np.argmin(slack))
+
+def _fold_chunk(draw, sweeps, errors) -> None:
+    """Fold the chunk sample_block(*draw) into the (plan index, report) sweeps; a ConeError goes to errors[index]."""
+    t0 = time.perf_counter()
+    eta = sample_block(*draw)
+    draw_share = (time.perf_counter() - t0) / len(sweeps)
+    for a in range(0, eta.shape[0], _SUB_BLOCK):
+        tables = _Tables(eta[a : a + _SUB_BLOCK], draw[1])
+        for i, rep in sweeps:
+            if i in errors:
+                continue
+            t0 = time.perf_counter()
+            try:
+                slack, spectra, viol, extra = _FAMILIES[rep.label][0](tables, rep.n, rep.k, rep.l)
+            except ConeError as exc:
+                errors[i] = exc
+                continue
+            # NaN and +inf pass every family's `slack < -tol` test; count them
+            # here and rank every non-finite slack lowest, so argmin names it
+            finite = np.isfinite(slack)
+            if not finite.all():
+                viol += int((np.isnan(slack) | (slack == np.inf)).sum())
+                slack = np.where(finite, slack, -np.inf)
+            j = int(np.argmin(slack))
+            if slack[j] < rep.min_ratio:
                 # floats, not a view: spectra[:, j] would keep the whole block alive
-                dt = time.perf_counter() - t0 + (draw_share if a == 0 else 0.0)
-                results.append((float(slack[j]), spectra[:, j].tolist(), viol, extra, dt))
-        return out
-
-    done = [task(*t) for t in tasks]
-    blocks: list[list] = [[] for _ in plan]
-    for (_, members, _, _), results in zip(tasks, done):
-        for i, member_results in zip(members, results):
-            blocks[i].extend(member_results)
-    return [_reduce(entry, results, samples, seed, scale) for entry, results in zip(plan, blocks)]
-
-
-def _reduce(entry, results, samples, seed, scale) -> SweepReport:
-    """One sweep's report from its block results, taken in stream order."""
-    family, n, k, l = entry
-    _, _, tol, bound = _FAMILIES[family]
-    min_ratio, argmin, violations, wall_time, extra = math.inf, None, 0, 0.0, {}
-    for result in results:
-        if isinstance(result, ConeError):
-            message = f"{family} n={n} k={k} l={l}: a sample left the cone: {result}"
-            raise ConeError(message, order=result.order, value=result.value) from result
-        slack, arg, viol, ex_chunk, dt = result
-        violations += viol
-        wall_time += dt
-        if slack < min_ratio:
-            min_ratio, argmin = slack, arg
-        for key, val in ex_chunk.items():
-            if key.startswith("max_"):
-                extra[key] = max(extra.get(key, -math.inf), val)
-            else:
-                extra[key] = extra.get(key, 0) + val
-    extra["tolerance"] = tol
-    if bound is not None:
-        extra["bound"] = bound(n, k, l)
-    return SweepReport(family, n, k, l, samples, seed, scale, float(min_ratio), argmin, violations, wall_time, extra)
+                rep.min_ratio, rep.argmin = float(slack[j]), spectra[:, j].tolist()
+            rep.violations += viol
+            for key, val in extra.items():
+                if key.startswith("max_"):
+                    rep.extra[key] = max(rep.extra.get(key, -math.inf), val)
+                else:
+                    rep.extra[key] = rep.extra.get(key, 0) + val
+            rep.wall_time += time.perf_counter() - t0 + (draw_share if a == 0 else 0.0)
 
 
 def sweep_deleted_term_share(n, k, samples, seed, scale=1.0) -> SweepReport:

@@ -257,6 +257,10 @@ _MAX_NODES = 65**3
 # weights fall below the rounding of the short axis' weight, and the
 # preconditioner is singular in float64.
 _MAX_ASPECT = np.finfo(float).eps ** -0.5
+# The largest stencil weight, the preconditioner's diagonal 2(n-1) sum_i 1/h_i^2,
+# must be finite: beyond float64's range the Hessian weights divide by zero and
+# the preconditioner's LU is singular.
+_MAX_WEIGHT = float(np.finfo(float).max)
 
 
 def _number(value, what: str) -> float:
@@ -359,6 +363,12 @@ def load_problem(path) -> ProblemSpec:
         raise ProblemFormatError(
             f"box spacings {h.min():.3g} and {h.max():.3g} differ by more than a factor of {_MAX_ASPECT:.3g}, "
             "the most that float64 resolves in the stencil"
+        )
+    h_min = float(h.min())
+    # the weight times h_min^2 against _MAX_WEIGHT * h_min^2, so that neither side can overflow
+    if 2 * (grid.n - 1) * float(np.sum((h_min / h) ** 2)) > _MAX_WEIGHT * h_min * h_min:
+        raise ProblemFormatError(
+            f"box spacing {h_min:.3g} is too small: the stencil weight 2(n-1) sum 1/h^2 overflows float64"
         )
     n = _integer(doc, "n")
     if grid.n != n:

@@ -222,6 +222,18 @@ class TestSolve:
         assert len(err) == 1 and err[0].startswith("error: box spacings")
         assert not out.exists()
 
+    @pytest.mark.parametrize("hi", [1e-153, 1e-200])
+    def test_box_too_small_for_float64_exits_2(self, tmp_path, capsys, hi):
+        # spacings of 1.25e-154 and below: the stencil weight 12/h^2 leaves float64's range
+        doc = small_paraboloid_doc()
+        doc["box"]["hi"] = [hi] * 3
+        doc["phi"] = {"kind": "constant", "value": 0.5}
+        out = tmp_path / "out"
+        assert main(["solve", "--problem", str(write_problem(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: box spacing ") and "too small" in err[0]
+        assert not out.exists()
+
     def test_overflowing_box_exits_2_with_one_error_line(self, tmp_path, capsys):
         # hi - lo = 2e308 overflows to inf; it is refused before numpy warns about it
         doc = json.loads((REPO / "problems" / "psi-zero-17.json").read_text(encoding="utf-8"))

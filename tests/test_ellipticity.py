@@ -439,6 +439,48 @@ class TestRunPlan:
             run_plan(default_sweep_plan(4), samples=100, seed=seed)
         assert (info.value.order, info.value.value) == (3, -1.0)
 
+    @pytest.mark.parametrize("first,second", [("ellipticity-ratio", "trace-bound"), ("trace-bound", "ellipticity-ratio")])
+    def test_cone_error_names_the_first_failing_sweep_in_plan_order(self, monkeypatch, first, second):
+        # both sweeps read the (3, 2) stream: the first in the plan fails at block 3,
+        # in the second chunk, after the other one has failed at block 0
+        def failing_at(block, order):
+            calls = iter(range(100))
+
+            def evaluate(tables, n, k, l):
+                if next(calls) == block:
+                    raise ConeError(f"fails at block {block}", order=order, value=-1.0)
+                eta = tables.spectra("eta")
+                return np.ones(eta.shape[1]), eta, 0, {}
+
+            return evaluate
+
+        monkeypatch.setitem(ellipticity._FAMILIES, first, (failing_at(3, 2), 0, 1e-12, None))
+        monkeypatch.setitem(ellipticity._FAMILIES, second, (failing_at(0, 1), 0, 1e-12, None))
+        monkeypatch.setattr(ellipticity, "_CHUNK", 20)
+        monkeypatch.setattr(ellipticity, "_SUB_BLOCK", 10)
+        message = f"^{first} n=3 k=2 l=None: a sample left the cone: fails at block 3$"
+        with pytest.raises(ConeError, match=message) as info:
+            run_plan([(first, 3, 2, None), (second, 3, 2, None)], samples=50, seed=1)
+        assert (info.value.order, info.value.value) == (2, -1.0)
+
+    def test_memory_does_not_grow_with_samples(self, monkeypatch):
+        # 4000 samples make 900 more blocks than 400 for each of the two sweeps; a result
+        # kept per block and sweep (about 400 bytes) would add over 700 kB to the peak
+        monkeypatch.setattr(ellipticity, "_CHUNK", 400)
+        monkeypatch.setattr(ellipticity, "_SUB_BLOCK", 4)
+        plan = [("trace-bound", 3, 2, None), ("ellipticity-ratio", 3, 2, None)]
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                run_plan(plan, samples=samples, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_plan(plan, samples=400, seed=1)  # warm-up: first-use allocations stay out of the peaks
+        assert peak(4000) - peak(400) < 240e3
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_slack_is_a_violation(self, monkeypatch, bad):
         def bad_at_sample_3(tables, n, k, l):

@@ -264,6 +264,15 @@ class TestProblemFiles:
         with pytest.raises(ProblemFormatError, match="differ by more than a factor of 6.71e"):
             load_problem(_write_problem(tmp_path, doc))
 
+    def test_box_spacing_is_bounded_below_by_float64(self, tmp_path):
+        # 2(n-1) sum 1/h^2 = 4/h^2 is finite at h = 1.25e-141 and overflows at 1.25e-154
+        doc = _valid_doc()
+        doc["box"]["hi"] = [1e-140, 1e-140]
+        assert load_problem(_write_problem(tmp_path, doc)).grid.h[0] == pytest.approx(1.25e-141)
+        doc["box"]["hi"] = [1e-153, 1e-153]
+        with pytest.raises(ProblemFormatError, match="box spacing 1.25e-154 is too small"):
+            load_problem(_write_problem(tmp_path, doc))
+
 
 _JSON_LEAF = st.one_of(
     st.none(),
