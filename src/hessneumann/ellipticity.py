@@ -379,7 +379,7 @@ def trace_check(lam, spec: OperatorSpec):
 # sweeps
 # ---------------------------------------------------------------------------
 
-_CHUNK = 20000
+_CHUNK = 5 * _BLOCK  # whole generator blocks, so no block is drawn for two chunks
 _SUB_BLOCK = 2048  # rows per _Tables; bounds the memory of the shared tables
 
 

@@ -17,6 +17,11 @@ each interior node's linearization fw = dF/dr.
 Cone checks, residual, Jacobian and the step to the cone boundary read only
 sigma_1..sigma_c of the interior eta-matrices and their Newton tensors, from
 operator.newton_tensors; ``diagnostics`` is the one eigenvalue computation.
+
+Each Newton step solves its Jacobian system by GMRES, preconditioned by one
+SuperLU factorization of laplace_robin per grid.  The GMRES loop is here,
+scipy's algorithm with its vector arithmetic in np.einsum, which calls no
+BLAS and so wakes no OpenBLAS thread (see _dot).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg.lapack import dlartg
 
 from .grid import BoxGrid, ScalarField
 from .operator import _grad_from_tensors, _value_from_sigmas, newton_tensors
@@ -367,32 +372,100 @@ def laplace_robin(grid: BoxGrid, beta: float) -> sp.csr_matrix:
     return _GridOperators(grid, beta).laplace_robin()
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """Inner product of two grid vectors.
+
+    einsum sums in its own loop.  np.dot and np.linalg.norm reach BLAS ddot,
+    which OpenBLAS splits over threads past 10 000 entries; its idle worker
+    then spins after every call, and GMRES makes hundreds of them.
+    """
+    return np.einsum("i,i", a, b)
+
+
+def _norm(a: np.ndarray) -> np.float64:
+    return np.sqrt(_dot(a, a))
+
+
 def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperators):
-    """Solve mat @ x = rhs by preconditioned GMRES; returns (x, Krylov iterations), x None if GMRES missed _GMRES_RTOL."""
+    """Solve mat @ x = rhs by preconditioned GMRES; returns (x, Krylov iterations), x None if GMRES missed _GMRES_RTOL.
+
+    The algorithm of scipy 1.17's real gmres from x0 = 0 (Saad & Schultz
+    1986): left preconditioning, restarts of _GMRES_RESTART iterations, at
+    most _GMRES_MAXITER of them, modified Gram-Schmidt, Givens rotations from
+    LAPACK's dlartg, and the gh-8400 control of the inner tolerance ptol on
+    the preconditioned residual.  It stops on the true residual,
+    |rhs - mat @ x| <= _GMRES_RTOL |rhs|.
+    """
+    psolve = precond.solver(mat.diagonal())
+    eps = np.finfo(float).eps
     iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    pinv = LinearOperator(mat.shape, matvec=precond.solver(mat.diagonal()), dtype=float)
     # With data at the edge of float64 (|phi| near 1e154, or beta far from 1)
-    # GMRES's 2-norms of rhs and pinv @ rhs overflow.  Its step is then no
-    # descent direction, the line search underflows and the caller reports a
-    # NonconvergenceError, so numpy need not warn as well.
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, info = gmres(
-            mat,
-            rhs,
-            rtol=_GMRES_RTOL,
-            atol=0.0,
-            restart=_GMRES_RESTART,
-            maxiter=_GMRES_MAXITER,
-            M=pinv,
-            callback=count,
-            callback_type="pr_norm",
-        )
-    return (x if info == 0 else None), iterations
+    # the 2-norms of rhs and of its preconditioned image overflow.  The step
+    # is then no descent direction, the line search underflows and the caller
+    # reports a NonconvergenceError, so numpy need not warn as well.  Every
+    # norm is a numpy scalar, so a zero or infinite one divides to inf or nan.
+    with np.errstate(all="ignore"):
+        bnrm2 = _norm(rhs)
+        if bnrm2 == 0:
+            return rhs, 0
+        atol = _GMRES_RTOL * bnrm2
+        restart = min(_GMRES_RESTART, rhs.size)
+        x = np.zeros_like(rhs)
+        z = psolve(rhs)  # the preconditioned residual at x0 = 0
+        ptol_max_factor = 1.0
+        ptol = _norm(z) * min(ptol_max_factor, atol / bnrm2)
+        v = np.empty((restart + 1, rhs.size))
+        h = np.zeros((restart, restart + 1))  # h[col] is column col of the Hessenberg matrix
+        givens = np.zeros((restart, 2))
+        for _ in range(_GMRES_MAXITER):
+            znrm = _norm(z)
+            np.multiply(z, 1 / znrm, out=v[0])
+            s_rhs = np.zeros(restart + 1)  # right-hand side of the rotated least-squares problem
+            s_rhs[0] = znrm
+            breakdown = False
+            for col in range(restart):
+                w = psolve(mat @ v[col])
+                h0 = _norm(w)
+                for k in range(col + 1):
+                    h[col, k] = _dot(v[k], w)
+                    w -= h[col, k] * v[k]
+                h1 = h[col, col + 1] = _norm(w)
+                v[col + 1] = w
+                if h1 <= eps * h0:  # the Krylov space is invariant: x is exact
+                    h[col, col + 1] = 0
+                    breakdown = True
+                else:
+                    v[col + 1] *= 1 / h1
+                for k in range(col):
+                    c, s = givens[k]
+                    h[col, k], h[col, k + 1] = c * h[col, k] + s * h[col, k + 1], c * h[col, k + 1] - s * h[col, k]
+                c, s, h[col, col] = dlartg(h[col, col], h[col, col + 1])
+                givens[col] = c, s
+                s_rhs[col + 1] = -s * s_rhs[col]
+                s_rhs[col] *= c
+                presid = abs(s_rhs[col + 1])
+                iterations += 1
+                if presid <= ptol or breakdown:
+                    break
+            if h[col, col] == 0:
+                s_rhs[col] = 0
+            y = s_rhs[: col + 1]
+            for k in range(col, -1, -1):  # back substitution, skipping zero entries as scipy does
+                if y[k] != 0:
+                    y[k] /= h[k, k]
+                    y[:k] -= y[k] * h[k, :k]
+            x += np.einsum("i,ij", y, v[: col + 1])  # no BLAS gemv either
+            r = rhs - mat @ x
+            rnorm = _norm(r)
+            if rnorm <= atol or breakdown:
+                break
+            if presid <= ptol:
+                ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+            else:
+                ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+            ptol = presid * min(ptol_max_factor, atol / rnorm)
+            z = psolve(r)
+    return (x if rnorm <= atol else None), iterations
 
 
 # ---------------------------------------------------------------------------

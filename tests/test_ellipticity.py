@@ -428,6 +428,19 @@ class TestRunPlan:
         chunks = [(0, 700), (700, 700), (1400, 500)]
         assert sorted(calls) == sorted((n, c, s, m) for n, c in streams for s, m in chunks)
 
+    def test_each_generator_block_is_drawn_once(self, monkeypatch):
+        # 40000 samples span blocks 0..9 of 4096; a chunk boundary inside a block drew it twice
+        keys = []
+        real = np.random.default_rng
+
+        def counting(key):
+            keys.append(key)
+            return real(key)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        run_plan([("ellipticity-ratio", 3, 2, None)], samples=40000, seed=5)
+        assert keys == [(5, block) for block in range(10)]
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_cone_error_names_the_first_failing_sweep(self, monkeypatch, seed):
         outside_eta_cone(monkeypatch, n=4)

@@ -1,5 +1,9 @@
 import math
+import os
 import sys
+import threading
+import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -234,28 +238,68 @@ def mid_continuation_iterate(spec):
     return sol
 
 
+def _direction_case(case):
+    """(Jacobian, right-hand side, grid operators) of a Newton step the GMRES tests solve."""
+    if case == "quotient":
+        grid = BoxGrid((0, 0, 0), (1, 1, 1), 9)
+        spec, u_star = manufactured_problem(paraboloid(grid.center), OperatorSpec(3, 2, 1), 1.0, grid)
+        rng = np.random.default_rng(7)
+        u = ScalarField(grid, u_star.values + 1e-3 * rng.standard_normal(grid.shape))
+    else:
+        spec = psi_zero_spec(m=9)
+        u = mid_continuation_iterate(spec)
+    return jacobian(u, spec), -residual(u, spec).values.ravel(), solver._GridOperators(spec.grid, spec.beta)
+
+
+def _other_threads_cpu_s():
+    """CPU seconds used so far by the process's threads other than the calling one."""
+    me, total = threading.get_native_id(), 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != me:
+            try:
+                with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+            except FileNotFoundError:  # the thread ended
+                continue
+            total += int(fields[11]) + int(fields[12])  # utime, stime
+    return total / os.sysconf("SC_CLK_TCK")
+
+
 class TestNewtonDirection:
-    @pytest.mark.parametrize("case", ["psi-zero-mid-continuation", "quotient"])
+    CASES = ["psi-zero-mid-continuation", "quotient"]
+
+    @pytest.mark.parametrize("case", CASES)
     def test_matches_direct_solve(self, case):
-        if case == "quotient":
-            grid = BoxGrid((0, 0, 0), (1, 1, 1), 9)
-            spec, u_star = manufactured_problem(paraboloid(grid.center), OperatorSpec(3, 2, 1), 1.0, grid)
-            rng = np.random.default_rng(7)
-            u = ScalarField(grid, u_star.values + 1e-3 * rng.standard_normal(grid.shape))
-        else:
-            spec = psi_zero_spec(m=9)
-            u = mid_continuation_iterate(spec)
-        mat = jacobian(u, spec)
-        rhs = -residual(u, spec).values.ravel()
+        mat, rhs, ops = _direction_case(case)
         want = spla.splu(mat.tocsc()).solve(rhs)
-        got, iterations = solver._newton_direction(mat, rhs, solver._GridOperators(spec.grid, spec.beta))
+        got, iterations = solver._newton_direction(mat, rhs, ops)
         assert got is not None and iterations > 1
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_iterations_and_solution_as_scipy_gmres(self, case):
+        mat, rhs, ops = _direction_case(case)
+        got, iterations = solver._newton_direction(mat, rhs, ops)
+        counted = []
+        pinv = spla.LinearOperator(mat.shape, matvec=ops.solver(mat.diagonal()), dtype=float)
+        want, info = spla.gmres(
+            mat,
+            rhs,
+            rtol=solver._GMRES_RTOL,
+            atol=0.0,
+            restart=solver._GMRES_RESTART,
+            maxiter=solver._GMRES_MAXITER,
+            M=pinv,
+            callback=counted.append,
+            callback_type="pr_norm",
+        )
+        assert info == 0 and iterations == len(counted)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_gmres_miss_ends_the_solve(self, monkeypatch):
-        spec, u_star = build_case("perturbed-paraboloid", 9)
-        grid = spec.grid
-        u0 = ScalarField(grid, quadratic_field(grid, np.eye(3), np.zeros(3)).values)
+        # from a quadratic the preconditioner solves the first step exactly, in one
+        # iteration; the manufactured solution's Jacobian needs more
+        spec, u0 = build_case("perturbed-paraboloid", 9)
         factored = []
         real_splu = solver.spla.splu
 
@@ -264,13 +308,35 @@ class TestNewtonDirection:
             return real_splu(a, **kwargs)
 
         monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
-        monkeypatch.setattr(solver, "gmres", lambda a, b, **kwargs: (np.zeros_like(b), 1))
-        with pytest.raises(NonconvergenceError, match="GMRES") as info:
+        # one restart of one iteration cannot reach the 1e-10 tolerance
+        monkeypatch.setattr(solver, "_GMRES_RESTART", 1)
+        monkeypatch.setattr(solver, "_GMRES_MAXITER", 1)
+        with pytest.raises(NonconvergenceError, match="GMRES missed its tolerance 1e-10 in 1 iterations") as info:
             newton_solve(u0, spec)
         rep = info.value.report
         assert not rep.converged and rep.iterations == []
         assert rep.residual_norm == np.abs(residual(u0, spec).values).max() and rep.final_margin > 0
         assert len(factored) == 1  # the preconditioner, and no LU of the Jacobian
+
+    def test_zero_preconditioner_misses_without_raising(self):
+        mat, rhs, _ = _direction_case("quotient")
+        zeros = SimpleNamespace(solver=lambda diag: lambda v: np.zeros_like(v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, iterations = solver._newton_direction(mat, rhs, zeros)
+        assert got is None and iterations == solver._GMRES_RESTART * solver._GMRES_MAXITER
+
+    @pytest.mark.skipif(not os.access("/proc/self/task", os.R_OK), reason="needs /proc/self/task")
+    def test_m25_solve_keeps_other_threads_idle(self):
+        # np.dot and np.linalg.norm on the 15 625-node vectors woke an OpenBLAS
+        # worker that then spun; it added about 0.2-0.3 s of CPU to this solve
+        spec, _ = build_case("perturbed-paraboloid", 25)
+        _, u0 = manufactured_problem(paraboloid(spec.grid.center), spec.op, spec.beta, spec.grid)
+        time.sleep(0.5)  # let a worker woken by the set-up go back to sleep
+        before = _other_threads_cpu_s()
+        _, rep = newton_solve(u0, spec)
+        assert rep.converged
+        assert _other_threads_cpu_s() - before < 0.02
 
 
 def _outward_direction(op, m, amplitude):
