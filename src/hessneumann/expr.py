@@ -10,12 +10,14 @@ Grammar (EBNF):
     VAR    := "x1" | "x2" | "x3"
     FUNC   := "sin" | "cos" | "exp" | "abs"
 
-"^" is right-associative and binds tighter than unary minus.  Parse errors
-carry the 0-based character position of the offending token.
+"^" is right-associative and binds tighter than unary minus.  Parsing is by
+operator precedence, without recursion, so an expression may have any length or
+depth.  Parse errors carry the 0-based character position of the offending token.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 
@@ -63,94 +65,61 @@ def _tokenize(text: str):
     return tokens
 
 
-def _combine(op, a, b):
-    return lambda env: op(a(env), b(env))
+# precedence and function of each binary operator; prefix "-" has precedence 3
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul),
+           "/": (2, operator.truediv), "^": (4, operator.pow)}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.variables: set[str] = set()
+def _postfix(tokens):
+    """Shunting-yard: tokens to postfix (arity, item) steps; a "(" waits at precedence 0 with its call."""
+    program, pending = [], []
+    depth, want_operand = 0, True
+    tokens = iter(tokens)
+    for kind, val, pos in tokens:
+        if want_operand:
+            if kind == "num" or val in _VARS:
+                program.append((0, val))
+                want_operand = False
+            elif val in _FUNCS:
+                _, paren, pos = next(tokens)
+                if paren != "(":
+                    raise ExpressionError("expected '('", pos)
+                pending.append((0, [(1, _FUNCS[val])]))
+                depth += 1
+            elif val == "(":
+                pending.append((0, []))
+                depth += 1
+            elif val == "-":
+                pending.append((3, [(1, operator.neg)]))
+            elif kind == "name":
+                raise ExpressionError(f"unknown name {val!r}", pos)
+            elif val != "+":
+                raise ExpressionError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+        elif val in _BINARY:
+            prec, fn = _BINARY[val]
+            # "^" binds tightest and is right-associative, so it pops nothing
+            while val != "^" and pending and pending[-1][0] >= prec:
+                program += pending.pop()[1]
+            pending.append((prec, [(2, fn)]))
+            want_operand = True
+        elif val == ")" and depth:
+            while pending[-1][0]:
+                program += pending.pop()[1]
+            program += pending.pop()[1]
+            depth -= 1
+        elif depth or kind != "end":
+            raise ExpressionError("expected ')'" if depth else f"unexpected trailing input {val!r}", pos)
+    return program + [step for _, steps in reversed(pending) for step in steps]
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r}", pos)
-        self.advance()
-
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"unexpected trailing input {val!r}", pos)
-        return node
-
-    def _binary_chain(self, sub, ops):
-        node = sub()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ops:
-                self.advance()
-                node = _combine(ops[val], node, sub())
-            else:
-                return node
-
-    def expr(self):
-        return self._binary_chain(self.term, {"+": operator.add, "-": operator.sub})
-
-    def term(self):
-        return self._binary_chain(self.factor, {"*": operator.mul, "/": operator.truediv})
-
-    def factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.advance()
-            inner = self.factor()
-            if val == "-":
-                return lambda env: -inner(env)
-            return inner
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            expo = self.factor()
-            return lambda env: base(env) ** expo(env)
-        return base
-
-    def atom(self):
-        kind, val, pos = self.advance()
-        if kind == "num":
-            const = float(val)
-            return lambda env: const
-        if kind == "name":
-            if val in _FUNCS:
-                fn = _FUNCS[val]
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return lambda env: fn(arg(env))
-            if val in _VARS:
-                self.variables.add(val)
-                name = val
-                return lambda env: env[name]
-            raise ExpressionError(f"unknown name {val!r}", pos)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+def _evaluate(program, env):
+    stack = []
+    for arity, item in program:
+        if arity:
+            stack[-arity:] = [item(*stack[-arity:])]
+        else:  # a constant or a variable's name
+            stack.append(env[item] if item in _VARS else item)
+    return stack[0]
 
 
 def compile_expression(text: str):
@@ -160,6 +129,6 @@ def compile_expression(text: str):
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression", 0)
-    parser = _Parser(text)
-    fn = parser.parse()
-    return fn, sorted(parser.variables)
+    program = _postfix(_tokenize(text))
+    used = sorted(set(_VARS).intersection(item for arity, item in program if not arity))
+    return functools.partial(_evaluate, program), used

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import ConeError, _as_values, _by_columns, _deleted_sigmas, _require_in_gamma
+from .symfun import _as_values, _by_columns, _check_in_gamma, _columns, _deleted_sigmas, _require_in_gamma
 from .symfun import sigma_all, sigma_grad  # noqa: F401  (unused here; bench/tracing.py patches these bindings)
 
 __all__ = [
@@ -205,8 +205,7 @@ def f_grad_matrix(r, spec: OperatorSpec) -> np.ndarray:
     f_grad.  Raises ConeError unless eta_matrix(r) lies in the open cone.
     """
     e, tensors = newton_tensors(eta_matrix(r), spec.cone_order)
-    if not (e[..., 1:] > 0.0).all():
-        raise ConeError(f"operator gradient: eta_matrix(r) outside the order-{spec.cone_order} cone")
+    _check_in_gamma(_columns(e), "operator gradient")
     return _grad_from_tensors(e, tensors, spec)
 
 

@@ -339,6 +339,8 @@ def load_problem(path) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ProblemFormatError("invalid JSON: nested deeper than the parser can follow") from exc
     except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
         raise ProblemFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

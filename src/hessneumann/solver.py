@@ -400,14 +400,18 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
     eps = np.finfo(float).eps
     iterations = 0
     # With data at the edge of float64 (|phi| near 1e154, or beta far from 1)
-    # the 2-norms of rhs and of its preconditioned image overflow.  The step
-    # is then no descent direction, the line search underflows and the caller
-    # reports a NonconvergenceError, so numpy need not warn as well.  Every
-    # norm is a numpy scalar, so a zero or infinite one divides to inf or nan.
+    # the 2-norms of rhs and of its preconditioned image overflow.  An infinite
+    # |rhs| makes the tolerance infinite, which any x would meet, so it is a
+    # miss; otherwise the step is no descent direction, the line search
+    # underflows and the caller reports a NonconvergenceError, so numpy need
+    # not warn as well.  Every norm is a numpy scalar, so a zero or infinite
+    # one divides to inf or nan.
     with np.errstate(all="ignore"):
         bnrm2 = _norm(rhs)
         if bnrm2 == 0:
             return rhs, 0
+        if not np.isfinite(bnrm2):
+            return None, 0
         atol = _GMRES_RTOL * bnrm2
         restart = min(_GMRES_RESTART, rhs.size)
         x = np.zeros_like(rhs)

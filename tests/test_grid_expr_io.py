@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -103,6 +104,41 @@ class TestExpressions:
             compile_expression("(1 + 2")
         with pytest.raises(ExpressionError):
             compile_expression("")
+
+
+_PY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
+_PY_ENV = {"x1": np.linspace(-2.0, 2.0, 5), "x2": np.linspace(0.0, 3.0, 5), "x3": np.linspace(-1.0, -0.5, 5)}
+_GRAMMAR = st.recursive(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(sorted(_PY_ENV)),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^"]), inner).map(" ".join),
+        st.tuples(st.sampled_from(["-", "+"]), inner).map("".join),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(sorted(_PY_FUNCS)), inner).map("{0[0]}({0[1]})".format),
+    ),
+    max_leaves=16,
+)
+
+
+def _outcome(evaluate):
+    """The value's type and bytes, or the type of the arithmetic error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            value = evaluate()
+    except ArithmeticError as exc:
+        return type(exc)
+    return type(value), np.asarray(value).tobytes()
+
+
+class TestCompilerMatchesPython:
+    @given(text=_GRAMMAR)
+    @settings(max_examples=500, deadline=None)
+    def test_same_bits_as_python_eval(self, text):
+        """Python reads the grammar with "**" for "^" at the same precedence, so each value must agree bit for bit."""
+        fn, used = compile_expression(text)
+        want = _outcome(lambda: eval(text.replace("^", "**"), {"__builtins__": {}}, {**_PY_FUNCS, **_PY_ENV}))
+        assert _outcome(lambda: fn(_PY_ENV)) == want
+        assert used == sorted(name for name in _PY_ENV if name in text)
 
 
 class TestManufactured:
@@ -235,8 +271,9 @@ class TestProblemFiles:
         [
             (json.dumps(_valid_doc()).encode("utf-16"), "not UTF-8"),
             (b'{"n": ' + b"1" * 5000 + b"}", "invalid JSON"),
+            (b'{"n": ' + b"[" * 100000 + b"]" * 100000 + b"}", "invalid JSON: nested deeper than the parser"),
         ],
-        ids=["utf-16", "int-over-digit-limit"],
+        ids=["utf-16", "int-over-digit-limit", "nested-past-the-parser"],
     )
     def test_unreadable_text(self, tmp_path, raw, needle):
         path = tmp_path / "raw.json"
@@ -244,6 +281,21 @@ class TestProblemFiles:
         with pytest.raises(ProblemFormatError) as info:
             load_problem(path)
         assert needle in str(info.value)
+
+    @pytest.mark.parametrize(
+        "expr,want",
+        [
+            ("1" + "+1" * 2999, 3000.0),
+            ("(" * 3000 + "2" + ")" * 3000, 2.0),
+            ("-" * 3000 + "2", 2.0),
+            ("sin(" * 2000 + "1" + ")" * 2000, functools.reduce(lambda v, _: np.sin(v), range(2000), 1.0)),
+        ],
+        ids=["sum-of-3000", "3000-parentheses", "3000-unary-minuses", "2000-nested-sin"],
+    )
+    def test_long_and_deep_expressions_load(self, tmp_path, expr, want):
+        doc = _valid_doc()
+        doc["psi"] = {"kind": "expression", "expr": expr}
+        np.testing.assert_array_equal(load_problem(_write_problem(tmp_path, doc)).psi.values, want)
 
     def test_grid_cap_admits_3d_m65(self, tmp_path):
         doc = _valid_doc()
@@ -287,9 +339,18 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+_LENGTHS = st.sampled_from([1, 2, 150, 1500, 3000])
 _EXPRESSIONS = st.one_of(
     st.sampled_from(["x1 + x2", "1/(x1-x1)", "x1^0.5 - 1", "exp(exp(exp(100*x1)))", "9^9^9^9", "x3", "sin("]),
     st.text(alphabet="x123 +-*/^().e9sincoexpab", max_size=24),
+    # long chains, and deep nesting closed by one parenthesis too few, as many, or one too many
+    st.builds(lambda n, link: "x1" + link * n, _LENGTHS, st.sampled_from(["+x1", "-x2", "*x1", "/x2", "^x1"])),
+    st.builds(
+        lambda n, head, extra: head * n + "x1" + ")" * (head.count("(") * n + extra),
+        _LENGTHS,
+        st.sampled_from(["(", "-", "+", "sin(", "abs(", "x1^", "-x1^"]),
+        st.sampled_from([0, 0, -1, 1]),
+    ),
 )
 _GRID_VALUES = st.one_of(st.lists(st.floats(0, 10), min_size=81, max_size=81), _JSON)
 _FIELDS = st.one_of(

@@ -292,10 +292,12 @@ class TestGradientMatrix:
 
 
     def test_outside_the_cone_raises(self):
-        with pytest.raises(ConeError):
-            f_grad_matrix(-np.eye(3), OperatorSpec(3, 1))
-        with pytest.raises(ConeError):
+        with pytest.raises(ConeError) as info:
+            f_grad_matrix(-np.eye(3), OperatorSpec(3, 1))  # eta = -2 I, so sigma_1(eta) = -6
+        assert (info.value.order, info.value.value) == (1, -6.0)
+        with pytest.raises(ConeError) as info:
             f_grad_matrix(np.diag([10.0, 0.0, 0.0]), OperatorSpec(3, 2, 1))  # sigma_3(eta) = 0
+        assert (info.value.order, info.value.value) == (3, 0.0)
 
 
 class TestAdmissible:

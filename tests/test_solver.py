@@ -326,6 +326,15 @@ class TestNewtonDirection:
             got, iterations = solver._newton_direction(mat, rhs, zeros)
         assert got is None and iterations == solver._GMRES_RESTART * solver._GMRES_MAXITER
 
+    def test_overflowing_right_hand_side_is_a_miss(self):
+        # |rhs| = inf makes the tolerance 1e-10 |rhs| infinite, which any x would meet
+        spec, u0 = build_case("perturbed-paraboloid", 9)
+        rhs = np.full(spec.grid.size, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, iterations = solver._newton_direction(jacobian(u0, spec), rhs, solver._GridOperators(spec.grid, spec.beta))
+        assert got is None and iterations == 0
+
     @pytest.mark.skipif(not os.access("/proc/self/task", os.R_OK), reason="needs /proc/self/task")
     def test_m25_solve_keeps_other_threads_idle(self):
         # np.dot and np.linalg.norm on the 15 625-node vectors woke an OpenBLAS
