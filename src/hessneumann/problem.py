@@ -248,10 +248,8 @@ class ContinuationError(NonconvergenceError):
     """The continuation path could not reach t = 1 above the minimum step."""
 
 
-# 3-D m = 65 is the largest grid the solver is sized for.  Memory grows faster
-# than the node count (the preconditioner's sparse LU holds 3.17e6 nonzeros at
-# 3-D m = 25 and 12.9e6 at m = 33), so a larger grid would exhaust memory
-# instead of being refused.
+# 3-D m = 65 is the largest grid the solver is sized for: mms-study on
+# 17, 33 and 65 takes about 3.3 s and 370 MB peak RSS on 2 cores.
 _MAX_NODES = 65**3
 # The largest ratio of box spacings: beyond it the long axes' 1/h^2 stencil
 # weights fall below the rounding of the short axis' weight, and the
@@ -259,7 +257,7 @@ _MAX_NODES = 65**3
 _MAX_ASPECT = np.finfo(float).eps ** -0.5
 # The largest stencil weight, the preconditioner's diagonal 2(n-1) sum_i 1/h_i^2,
 # must be finite: beyond float64's range the Hessian weights divide by zero and
-# the preconditioner's LU is singular.
+# the preconditioner is singular.
 _MAX_WEIGHT = float(np.finfo(float).max)
 
 

@@ -18,10 +18,12 @@ Cone checks, residual, Jacobian and the step to the cone boundary read only
 sigma_1..sigma_c of the interior eta-matrices and their Newton tensors, from
 operator.newton_tensors; ``diagnostics`` is the one eigenvalue computation.
 
-Each Newton step solves its Jacobian system by GMRES, preconditioned by one
-SuperLU factorization of laplace_robin per grid.  The GMRES loop is here,
-scipy's algorithm with its vector arithmetic in np.einsum, which calls no
-BLAS and so wakes no OpenBLAS thread (see _dot).
+Each Newton step solves its Jacobian system by GMRES, preconditioned by a
+direct solve of laplace_robin: eliminating the boundary rows leaves a
+Kronecker sum of 1-D operators on the interior, which one tridiagonal
+eigendecomposition per axis and grid diagonalizes (_laplace_robin_solve).
+The GMRES loop is here, scipy's algorithm with its vector arithmetic in
+np.einsum, which calls no BLAS and so wakes no OpenBLAS thread (see _dot).
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  (unused here; bench/tracing.py patches it)
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dlartg
 
 from .grid import BoxGrid, ScalarField
@@ -110,9 +113,16 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One continuation stage.
+
+    ``reason`` says why the stage failed: its NonconvergenceError's message,
+    or that Newton used up max_iter steps.  It is None for a converged stage.
+    """
+
     t: float
     converged: bool
     iterations: int
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -135,11 +145,10 @@ class Diagnostics:
 class SolveReport:
     """Per-iteration history, continuation path, and final diagnostics.
 
-    ``preconditioner_nnz`` is SuperLU's count of stored entries of the
-    preconditioner's L and U factors, and ``preconditioner_factor_s`` the
-    time of that one factorization.  continuation_solve, which shares the
-    factorization between its stages, fills both; they stay 0 in the
-    report of a lone newton_solve and when no Newton step ran.
+    ``preconditioner_factor_s`` is the time of the preconditioner's one
+    build.  continuation_solve, which shares the preconditioner between its
+    stages, fills it; it stays 0 in the report of a lone newton_solve and
+    when no Newton step ran.
     """
 
     converged: bool = False
@@ -148,7 +157,6 @@ class SolveReport:
     iterations: list[IterationRecord] = field(default_factory=list)
     continuation: list[StageRecord] = field(default_factory=list)
     diagnostics: Diagnostics | None = None
-    preconditioner_nnz: int = 0
     preconditioner_factor_s: float = 0.0
 
     def to_dict(self) -> dict:
@@ -215,18 +223,85 @@ def _interior_hessians(hess: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
     return (hess @ values.ravel()).reshape(tuple(s - 2 for s in values.shape) + (iu.size,))[..., pair]
 
 
+def _axis_transforms(x: np.ndarray, mats) -> np.ndarray:
+    """x, the flat C-order values of a (p,)*n block, with mats[a] applied along axis a; flat again.
+
+    Each einsum takes the leading axis and writes it last, so after n of them
+    the axes are back in order.  einsum calls no BLAS (see _dot).
+    """
+    for mat in mats:
+        x = np.einsum("ij,jk->ki", mat, x.reshape(mat.shape[1], -1))
+    return x.ravel()
+
+
+def _laplace_robin_solve(grid: BoxGrid, beta: float, mat: sp.csr_matrix):
+    """A solve of mat = laplace_robin(grid, beta), exact up to rounding, by fast diagonalization.
+
+    Let d be a node's face count.  The Robin row of a d-node holds only itself
+    and (d-1)-nodes (m >= 9 keeps its one-sided stencil off the opposite
+    face), and an interior row only interior and 1-nodes, since mat stores no
+    mixed taps.  So once the interior is known the boundary classes follow in
+    the order d = 1..n, and eliminating the 1-nodes from the interior rows
+    leaves the Kronecker sum (n-1) sum_a I x..x T_a / h_a^2 x..x I.  T_a is
+    [1, -2, 1] on the m-2 interior points of axis a but at its two ends: there
+    the face row w0 u_0 + w1 u_1 + w2 u_2 + 2 h_a beta u_0 = 2 h_a b, with
+    w = _OUTWARD_D1, gives u_0 = (2 h_a b - w1 u_1 - w2 u_2) / g_a,
+    g_a = w0 + 2 h_a beta, which adds -w1/g_a to the end diagonal and -w2/g_a
+    to the end off-diagonal.  With g_a >= 3 the end off-diagonals have a
+    positive product c_a = 1 - w2/g_a, so D T_a D^-1 is symmetric for
+    D = diag(s, 1, .., 1, s), s = c_a^-1/2, and eigh_tridiagonal gives it as
+    Q_a diag(lam_a) Q_a^T.  The interior solve is n axis transforms by
+    Q_a^T D, a division by the eigenvalue sums and n transforms by D^-1 Q_a
+    (Lynch, Rice & Thomas 1964).
+
+    Returns the solve, a function of a flat right-hand side.
+    """
+    n, m, h = grid.n, grid.m, grid.h
+    p = m - 2
+    diag = mat.diagonal()
+    fc = grid.face_count().ravel()
+    inner = np.flatnonzero(fc == 0)
+    classes = [(idx, mat[idx], diag[idx]) for idx in (np.flatnonzero(fc == d) for d in range(1, n + 1))]
+    faces, _, face_diag = classes[0]
+    fold = (mat[inner][:, faces] @ sp.diags(1.0 / face_diag)).tocsr()  # L_IF D_F^-1
+    forward, backward, lam = [], [], np.zeros(())
+    w0, w1, w2 = _OUTWARD_D1
+    for a in range(n):
+        g = w0 + 2.0 * h[a] * beta
+        t_diag = np.full(p, -2.0)
+        t_diag[[0, -1]] -= w1 / g
+        t_off = np.ones(p - 1)
+        t_off[[0, -1]] = np.sqrt(1.0 - w2 / g)
+        vals, vecs = eigh_tridiagonal(t_diag, t_off)
+        s = np.ones(p)
+        s[[0, -1]] = 1.0 / t_off[0]
+        forward.append(vecs.T * s)
+        backward.append(vecs / s[:, None])
+        lam = np.add.outer(lam, (n - 1) * vals / h[a] ** 2)
+    lam = lam.ravel()
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.zeros_like(b)
+        x[inner] = _axis_transforms(_axis_transforms(b[inner] - fold @ b[faces], forward) / lam, backward)
+        for idx, rows, d in classes:  # x is still 0 on class d, so rows @ x reads class d-1 only
+            x[idx] = (b[idx] - rows @ x) / d
+        return x
+
+    return solve
+
+
 class _GridOperators:
-    """The sparse maps of one (grid, beta), built once per solve, and the preconditioner's LU.
+    """The sparse maps of one (grid, beta), built once per solve, and the preconditioner.
 
     ``hess`` is _hessian_operator(grid).  ``robin`` maps u to u_nu + beta * u
     on the boundary nodes, u_nu averaging the outward one-sided differences
     of a node's faces, and has empty interior rows.
 
-    ``lu`` is laplace_robin(grid, beta)'s SuperLU factorization, made on first
-    use and shared by every Newton step on the grid, and ``factor_s`` its
-    time.  Strict ellipticity keeps each Jacobian spectrally equivalent to
-    that operator, so preconditioned GMRES needs a mesh-independent number of
-    iterations.
+    The preconditioner is a direct solve of laplace_robin(grid, beta) by
+    _laplace_robin_solve, built on first use and shared by every Newton step
+    on the grid; ``factor_s`` is the time of that build.  Strict ellipticity
+    keeps each Jacobian spectrally equivalent to that operator, so
+    preconditioned GMRES needs a mesh-independent number of iterations.
     """
 
     def __init__(self, grid: BoxGrid, beta: float):
@@ -241,8 +316,8 @@ class _GridOperators:
         self._pairs = np.triu_indices(grid.n)
         per_row = np.where(fc == 0, self._pairs[0].size, 0)
         self._fw_pattern = (np.arange(self.hess.shape[0]), np.append(0, np.cumsum(per_row)))
-        self.lu = None
         self.factor_s = 0.0
+        self._solve = None
         self._diag = None
 
     def jacobian(self, fw: np.ndarray) -> sp.csr_matrix:
@@ -259,19 +334,15 @@ class _GridOperators:
         return self.jacobian((self.grid.n - 1.0) * np.eye(self.grid.n))
 
     def solver(self, jac_diag: np.ndarray):
-        """P^-1 = LU(L)^-1 diag(diag(L) / diag(J)): L with its rows scaled to the Jacobian's diagonal."""
-        if self.lu is None:
+        """P^-1 = L^-1 diag(diag(L) / diag(J)): L with its rows scaled to the Jacobian's diagonal."""
+        if self._solve is None:
+            t0 = time.perf_counter()
             mat = self.laplace_robin()
             self._diag = mat.diagonal()
-            t0 = time.perf_counter()
-            # L is structurally symmetric but for the Robin rows, so a minimum-degree
-            # ordering of L^T + L applies to rows and columns alike.  Every diagonal
-            # entry is nonzero: -2(n-1) sum 1/h^2 inside and 3w/(2h) + beta > 0 on
-            # the boundary (beta > 0), so the diagonal pivots need no row exchange.
-            self.lu = spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+            self._solve = _laplace_robin_solve(self.grid, self.beta, mat)
             self.factor_s = time.perf_counter() - t0
-        lu, scale = self.lu, self._diag / jac_diag
-        return lambda v: lu.solve(scale * v.ravel())
+        solve, scale = self._solve, self._diag / jac_diag
+        return lambda v: solve(scale * v.ravel())
 
 
 def hessian_at(u: ScalarField, node: tuple[int, ...]) -> np.ndarray:
@@ -366,8 +437,8 @@ def laplace_robin(grid: BoxGrid, beta: float) -> sp.csr_matrix:
     """The state-independent k = 1 Jacobian: (n-1) times the Laplacian inside, the Robin rows on the boundary.
 
     Its interior rows hold only the (2n+1)-point pattern: the sparse product
-    drops the exact zeros of the mixed-pair taps, which SuperLU would
-    otherwise fill for too.
+    drops the exact zeros of the mixed-pair taps, so an interior row reaches
+    no edge or corner node, which _laplace_robin_solve relies on.
     """
     return _GridOperators(grid, beta).laplace_robin()
 
@@ -480,7 +551,7 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
 def newton_solve(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None = None):
     """Damped Newton from an admissible start.
 
-    Solves J delta = -R by GMRES preconditioned with one LU of
+    Solves J delta = -R by GMRES preconditioned with one direct solver of
     laplace_robin(grid, beta), and halves the step until the trial iterate is
     strictly admissible at every interior node and the residual sup norm
     satisfies the Armijo decrease.  The first trial that leaves the cone is
@@ -613,15 +684,15 @@ def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
         try:
             sol, stage_rep = _newton(ScalarField(grid, u), stage_spec, opts, ops)
             ok = stage_rep.converged
+            steps, rnorm = len(stage_rep.iterations), stage_rep.residual_norm
+            reason = None if ok else f"no convergence in {steps} Newton steps at residual {rnorm:.3e}"
         except NonconvergenceError as exc:
-            sol, stage_rep, ok = None, exc.report, False
-        report.continuation.append(StageRecord(t, ok, len(stage_rep.iterations)))
+            sol, stage_rep, ok, reason = None, exc.report, False, str(exc)
+        report.continuation.append(StageRecord(t, ok, len(stage_rep.iterations), reason))
         report.iterations.extend(stage_rep.iterations)
         report.residual_norm = stage_rep.residual_norm
         report.final_margin = stage_rep.final_margin
-        if ops.lu is not None:
-            report.preconditioner_nnz = int(ops.lu.nnz)  # no copy, unlike lu.L and lu.U
-            report.preconditioner_factor_s = ops.factor_s
+        report.preconditioner_factor_s = ops.factor_s
         if ok:
             u = sol.values
             t_prev = t

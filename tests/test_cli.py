@@ -200,7 +200,24 @@ class TestSolve:
         report = strict_json(out / "report.json")
         assert report["converged"] is False
         assert report["residual_norm"] > 0 and report["final_margin"] > 0
-        assert report["preconditioner_nnz"] > 0 and report["preconditioner_factor_s"] > 0
+        assert report["preconditioner_factor_s"] > 0
+        assert all(stage["reason"].startswith("no convergence in 1 Newton steps") for stage in report["continuation"])
+
+    def test_report_names_why_each_stage_failed(self, tmp_path):
+        # phi = 1e300 overflows the 2-norm of every stage's Newton right-hand side
+        doc = small_paraboloid_doc()
+        doc["phi"] = {"kind": "expression", "expr": "1e300"}
+        prob, out = write_problem(tmp_path, doc), tmp_path / "out"
+        assert main(["solve", "--problem", str(prob), "--out", str(out)]) == 1
+        stages = strict_json(out / "report.json")["continuation"]
+        assert stages and all(not stage["converged"] for stage in stages)
+        assert all(stage["reason"].startswith("GMRES missed its tolerance 1e-10") for stage in stages)
+
+    def test_converged_stages_give_no_reason(self, tmp_path):
+        prob, out = write_problem(tmp_path, small_paraboloid_doc()), tmp_path / "out"
+        assert main(["solve", "--problem", str(prob), "--out", str(out)]) == 0
+        stages = strict_json(out / "report.json")["continuation"]
+        assert stages and all(stage["converged"] and stage["reason"] is None for stage in stages)
 
     def test_report_records_the_preconditioner(self, tmp_path):
         doc = small_paraboloid_doc()
@@ -209,7 +226,7 @@ class TestSolve:
         assert main(["solve", "--problem", str(prob), "--out", str(out)]) == 0
         report = strict_json(out / "report.json")
         assert report["converged"] is True
-        assert isinstance(report["preconditioner_nnz"], int) and report["preconditioner_nnz"] > 9**3
+        assert "preconditioner_nnz" not in report  # the direct solve stores no factors to count
         assert report["preconditioner_factor_s"] > 0
 
     @pytest.mark.parametrize("thin", [1e-160, 1e-200])

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hessneumann import solver
@@ -209,17 +210,48 @@ class TestLaplaceRobin:
     @pytest.mark.parametrize("stretch", [1.0, 10.0, 0.01])
     @pytest.mark.parametrize("beta", [1e-6, 1.0, 1e6])
     def test_preconditioner_lu_pivots_on_the_diagonal(self, n, m, stretch, beta):
+        # the direct solve divides only by diagonal entries (the boundary rows) and
+        # by eigenvalue sums of the interior Kronecker sum
         grid = BoxGrid((0.0,) * n, (1.0,) * (n - 1) + (stretch,), m)
-        pre = solver._GridOperators(grid, beta)
-        pre.solver(np.ones(grid.size))
-        lu, mat = pre.lu, laplace_robin(grid, beta).tocsc()
-        assert (lu.perm_r == lu.perm_c).all()
+        mat = laplace_robin(grid, beta)
         b = np.random.default_rng(m).standard_normal(grid.size)
-        x = lu.solve(b)
-        backward = np.abs(mat @ x - b).max() / (spla.norm(mat, np.inf) * np.abs(x).max() + np.abs(b).max())
+        x = solver._GridOperators(grid, beta).solver(mat.diagonal())(b)
+        norm = spla.norm(mat, np.inf)
+        backward = np.abs(mat @ x - b).max() / (norm * np.abs(x).max() + np.abs(b).max())
         assert backward <= 1e-13
-        if (n, m) == (3, 17):
-            assert lu.nnz < spla.splu(mat).nnz  # below the default COLAMD ordering's fill
+        # SuperLU's solution agrees within 1e-12, or within eps times a lower bound
+        # of L's condition number where that is larger: both are backward stable,
+        # but at beta = 1e-6 L is near the singular Neumann operator
+        lu = spla.splu(mat.tocsc())
+        want = lu.solve(b)
+        kappa = norm * np.abs(lu.solve(np.ones(grid.size))).max()
+        assert np.abs(x - want).max() <= max(1e-12, np.finfo(float).eps * kappa) * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_interior_schur_complement_is_a_kronecker_sum(self, n):
+        # L_II - L_IF D_F^-1 L_FI, assembled from laplace_robin, against the sum of
+        # 1-D operators that _laplace_robin_solve diagonalizes
+        grid, beta = BoxGrid((0.0,) * n, (1.0, 2.5, 0.4)[:n], 9), 0.7
+        mat = laplace_robin(grid, beta).tocsr()
+        fc = grid.face_count().ravel()
+        inner, faces = np.flatnonzero(fc == 0), np.flatnonzero(fc == 1)
+        d_f = mat[faces][:, faces]
+        assert d_f.nnz == faces.size  # D_F is diagonal
+        schur = mat[inner][:, inner] - mat[inner][:, faces] @ sp.diags(1.0 / d_f.diagonal()) @ mat[faces][:, inner]
+        p, h = grid.m - 2, grid.h
+        want = 0.0
+        for a in range(n):
+            g = 3.0 + 2.0 * h[a] * beta
+            t = np.diag(np.full(p, -2.0)) + np.eye(p, k=1) + np.eye(p, k=-1)
+            t[0, 0] = t[-1, -1] = -2.0 + 4.0 / g
+            t[0, 1] = t[-1, -2] = 1.0 - 1.0 / g
+            factors = [np.eye(p)] * n
+            factors[a] = (n - 1) * t / h[a] ** 2
+            term = factors[0]
+            for f in factors[1:]:
+                term = np.kron(term, f)
+            want = want + term
+        assert np.abs(schur.toarray() - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def mid_continuation_iterate(spec):
@@ -300,14 +332,14 @@ class TestNewtonDirection:
         # from a quadratic the preconditioner solves the first step exactly, in one
         # iteration; the manufactured solution's Jacobian needs more
         spec, u0 = build_case("perturbed-paraboloid", 9)
-        factored = []
-        real_splu = solver.spla.splu
+        built = []
+        real_build = solver._laplace_robin_solve
 
-        def splu(a, **kwargs):
-            factored.append(a.shape)
-            return real_splu(a, **kwargs)
+        def build(*args):
+            built.append(args[0])
+            return real_build(*args)
 
-        monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
+        monkeypatch.setattr(solver, "_laplace_robin_solve", build)
         # one restart of one iteration cannot reach the 1e-10 tolerance
         monkeypatch.setattr(solver, "_GMRES_RESTART", 1)
         monkeypatch.setattr(solver, "_GMRES_MAXITER", 1)
@@ -316,7 +348,7 @@ class TestNewtonDirection:
         rep = info.value.report
         assert not rep.converged and rep.iterations == []
         assert rep.residual_norm == np.abs(residual(u0, spec).values).max() and rep.final_margin > 0
-        assert len(factored) == 1  # the preconditioner, and no LU of the Jacobian
+        assert built == [spec.grid]  # one preconditioner build for the grid
 
     def test_zero_preconditioner_misses_without_raising(self):
         mat, rhs, _ = _direction_case("quotient")
@@ -505,6 +537,19 @@ class TestNewton:
         want = {"eigh": [], "eigvalsh": ["manufactured_problem", "diagnostics"], "diagnostics": ["continuation_solve"]}
         assert callers == want
         assert rep.diagnostics == diagnostics(sol)
+
+    def test_krylov_iterations_are_mesh_independent(self):
+        # the preconditioner is spectrally equivalent to every Jacobian, so GMRES
+        # needs about as many iterations on the finer grid
+        krylov, errs = {}, {}
+        for m in (17, 33):
+            spec, u_exact = build_case("perturbed-paraboloid", m)
+            sol, rep = newton_solve(u_exact, spec)
+            assert rep.converged
+            krylov[m] = [r.krylov_iterations for r in rep.iterations]
+            errs[m] = np.abs(sol.values - u_exact.values).max()
+        assert krylov[17] and max(krylov[33]) <= max(krylov[17]) + 3
+        assert abs(math.log2(errs[17] / errs[33]) - 2.0) <= 0.3
 
     def test_max_iter_reports_nonconvergence(self):
         spec, u_star = build_case("perturbed-paraboloid", 9)
