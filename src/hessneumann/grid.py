@@ -65,16 +65,15 @@ class BoxGrid:
     def interior(self) -> tuple[slice, ...]:
         return tuple(slice(1, self.m - 1) for _ in range(self.n))
 
+    def faces(self) -> list[tuple[int, int, np.ndarray]]:
+        """The 2n box faces as (axis, inward step +1 or -1, flat node indices in C order), lo before hi."""
+        idx, ends = self.flat_index(), ((0, 1), (self.m - 1, -1))
+        return [(a, step, idx.take(i, axis=a).ravel()) for a in range(self.n) for i, step in ends]
+
     def face_count(self) -> np.ndarray:
         """Number of box faces each node lies on (0 interior, up to n at corners)."""
-        fc = np.zeros(self.shape, dtype=int)
-        for a in range(self.n):
-            sl = [slice(None)] * self.n
-            sl[a] = 0
-            fc[tuple(sl)] += 1
-            sl[a] = self.m - 1
-            fc[tuple(sl)] += 1
-        return fc
+        nodes = np.concatenate([nodes for *_, nodes in self.faces()])
+        return np.bincount(nodes, minlength=self.size).reshape(self.shape)
 
     def boundary_mask(self) -> np.ndarray:
         return self.face_count() > 0
@@ -105,6 +104,3 @@ class ScalarField:
     def from_points(cls, grid: BoxGrid, fn) -> "ScalarField":
         """Sample a callable of point coordinates (N, n) -> (N,)."""
         return cls(grid, np.asarray(fn(grid.points()), dtype=float).reshape(grid.shape))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())

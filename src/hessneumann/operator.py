@@ -105,10 +105,13 @@ def _as_sym_matrix(r) -> np.ndarray:
 
 def eta_matrix(r) -> np.ndarray:
     """Matrix form of the transform: trace(r) I - r."""
-    arr = _as_sym_matrix(r)
-    n = arr.shape[-1]
-    tr = np.trace(arr, axis1=-2, axis2=-1)
-    return tr[..., None, None] * np.eye(n) - arr
+    return _eta(_as_sym_matrix(r))
+
+
+def _eta(r: np.ndarray) -> np.ndarray:
+    """eta_matrix on the trailing (n, n) axes of an array, unchecked."""
+    tr = np.trace(r, axis1=-2, axis2=-1)
+    return tr[..., None, None] * np.eye(r.shape[-1]) - r
 
 
 def newton_tensors(s, c: int):
@@ -130,16 +133,9 @@ def newton_tensors(s, c: int):
 
 
 def _grad_from_tensors(e: np.ndarray, tensors: list, spec: OperatorSpec) -> np.ndarray:
-    """dF/dr = trace(a) I - a from eta(r)'s newton_tensors; a = df/d eta = f'(sigma_k) T_{k-1}, or its quotient form."""
-    k, l = spec.k, spec.l
-    if l is None:
-        coef = (1.0 / k) * e[..., k] ** (1.0 / k - 1.0)
-        a = coef[..., None, None] * tensors[k - 1]
-    else:
-        sk, sl = e[..., k, None, None], e[..., l, None, None]
-        w = (tensors[k - 1] * sl - sk * tensors[l - 1]) / sl**2
-        a = (1.0 / spec.degree) * (sk / sl) ** (1.0 / spec.degree - 1.0) * w
-    return eta_matrix(a)  # the transform is its own adjoint in the Frobenius pairing
+    """dF/dr = _eta(a) from eta(r)'s newton_tensors, a = df/d eta with d sigma_j = T_{j-1}."""
+    a = _grad_from_sigmas(np.moveaxis(e, -1, 0)[..., None, None], tensors, spec)
+    return _eta(a)  # the transform is its own adjoint in the Frobenius pairing
 
 
 def value_at_eta(eta, spec: OperatorSpec):
@@ -166,15 +162,16 @@ def grad_at_eta(eta, spec: OperatorSpec) -> np.ndarray:
     return _by_columns(grad, _as_values(eta))
 
 
-def _grad_from_sigmas(e: np.ndarray, d: np.ndarray, spec: OperatorSpec) -> np.ndarray:
-    """grad_at_eta (n, m) from eta's sigma_0..sigma_c (c+1, m) and deleted table d[j, i] = sigma_j(eta | i)."""
+def _grad_from_sigmas(e, d, spec: OperatorSpec):
+    """df/d eta by the chain rule from e[j] = sigma_j(eta) and d[j - 1] = d sigma_j / d eta, broadcast together.
+
+    grad_at_eta passes the (c+1, m) sigma table and the deleted table, d sigma_j / d eta_i = sigma_{j-1}(eta | i).
+    """
     k, l = spec.k, spec.l
-    tk = d[k - 1]  # sigma_{k-1}(eta | i)
     if l is None:
-        return (1.0 / k) * e[k] ** (1.0 / k - 1.0) * tk
-    sk, sl = e[k], e[l]
-    w = (tk * sl - sk * d[l - 1]) / sl**2  # d[l - 1] = sigma_{l-1}(eta | i)
-    return (1.0 / spec.degree) * (sk / sl) ** (1.0 / spec.degree - 1.0) * w
+        return (1.0 / k) * e[k] ** (1.0 / k - 1.0) * d[k - 1]
+    w = (d[k - 1] * e[l] - e[k] * d[l - 1]) / e[l] ** 2
+    return (1.0 / spec.degree) * (e[k] / e[l]) ** (1.0 / spec.degree - 1.0) * w
 
 
 def f_value(lam, spec: OperatorSpec):

@@ -11,8 +11,9 @@ import numpy as np
 
 from .expr import ExpressionError, compile_expression
 from .grid import BoxGrid, ScalarField
-from .operator import OperatorSpec
-from .symfun import ConeError, sigma_all
+from .operator import OperatorSpec, _eta, newton_tensors
+from .symfun import ConeError
+from .symfun import sigma_all  # noqa: F401  (unused here; bench/tracing.py patches this binding)
 
 if TYPE_CHECKING:
     from .solver import SolveReport
@@ -155,34 +156,28 @@ def _robin_data(grid: BoxGrid, beta: float, u: np.ndarray, grad: np.ndarray) -> 
     dn summing the outward normal derivatives of a node's faces, so corner and
     edge nodes average the conditions of their outward axes.
     """
-    n, m = grid.n, grid.m
-    dn = np.zeros(grid.shape)
-    for a in range(n):
-        lo = tuple(0 if b == a else slice(None) for b in range(n))
-        hi = tuple(m - 1 if b == a else slice(None) for b in range(n))
-        dn[lo] -= grad[a][lo]
-        dn[hi] += grad[a][hi]
-    fc = grid.face_count()
+    dn = np.zeros(grid.size)
+    for a, step, nodes in grid.faces():
+        dn[nodes] -= step * grad[a].ravel()[nodes]  # the outward normal points against the inward step
+    fc = grid.face_count().ravel()
     mask = fc > 0
-    out = np.zeros(grid.shape)
-    out[mask] = dn[mask] / fc[mask] + beta * u[mask]
-    return out
+    out = np.zeros(grid.size)
+    out[mask] = dn[mask] / fc[mask] + beta * u.ravel()[mask]
+    return out.reshape(grid.shape)
 
 
 def manufactured_problem(u_star: ClosedFormField, op: OperatorSpec, beta: float, grid: BoxGrid):
     """Turn a closed-form field into the problem it solves exactly.
 
     psi is the raw operator value (sigma_k or the sigma quotient of the
-    transformed analytic Hessian) at every node; phi is the outward normal
+    transformed analytic Hessian, from its newton_tensors, so without an
+    eigendecomposition) at every node; phi is the outward normal
     derivative plus beta * u_star on the boundary, corner nodes averaging
     their axis conditions.  Rejects u_star unless it is admissible at every
     grid node.  Returns (ProblemSpec, u_star sampled on the grid).
     """
     pts = grid.points()
-    hess = u_star.hessian(pts)
-    tr = np.trace(hess, axis1=-2, axis2=-1)
-    eta = np.linalg.eigvalsh(tr[:, None, None] * np.eye(grid.n) - hess)
-    e = sigma_all(eta, op.cone_order).reshape(grid.shape + (-1,))
+    e = newton_tensors(_eta(u_star.hessian(pts)), op.cone_order)[0].reshape(grid.shape + (-1,))
     _require_admissible(e, "manufactured field")
     psi = ScalarField(grid, e[..., op.k] if op.l is None else e[..., op.k] / e[..., op.l])
 
@@ -359,7 +354,7 @@ def load_problem(path) -> ProblemSpec:
     if grid.size > _MAX_NODES:
         raise ProblemFormatError(f"grid of {grid.m}^{grid.n} nodes exceeds the limit of {_MAX_NODES} nodes")
     h = grid.h
-    if h.max() > _MAX_ASPECT * h.min():  # a product, so that the test cannot overflow
+    if h.max() / _MAX_ASPECT > h.min():  # divided by _MAX_ASPECT > 1, so that the test cannot overflow
         raise ProblemFormatError(
             f"box spacings {h.min():.3g} and {h.max():.3g} differ by more than a factor of {_MAX_ASPECT:.3g}, "
             "the most that float64 resolves in the stencil"
@@ -384,6 +379,12 @@ def load_problem(path) -> ProblemSpec:
     try:
         if schedule is not None:
             schedule = [_number(t, "'schedule' entry") for t in schedule]
-        return ProblemSpec(grid, op, _number(doc["beta"], "'beta'"), psi, phi, schedule)
+        spec = ProblemSpec(grid, op, _number(doc["beta"], "'beta'"), psi, phi, schedule)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(str(exc)) from exc
+    # The continuation starts from u0 = |x - center|^2 / 2 with boundary data u0_nu + beta u0, both largest
+    # at a box corner, where the latter is inf if either is.  Python floats overflow without a numpy warning.
+    reach = [max(b - c, c - a) for a, b, c in ((a, b, 0.5 * (a + b)) for a, b in zip(grid.lo, grid.hi))]
+    if not math.isfinite(sum(reach) / grid.n + spec.beta * (0.5 * sum(r * r for r in reach))):
+        raise ProblemFormatError("the continuation's start data u0_nu + beta u0 overflow float64 at a box corner")
+    return spec

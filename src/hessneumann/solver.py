@@ -16,7 +16,8 @@ each interior node's linearization fw = dF/dr.
 
 Cone checks, residual, Jacobian and the step to the cone boundary read only
 sigma_1..sigma_c of the interior eta-matrices and their Newton tensors, from
-operator.newton_tensors; ``diagnostics`` is the one eigenvalue computation.
+operator.newton_tensors, as does manufactured_problem for the start data;
+``diagnostics`` is the one eigenvalue computation.
 
 Each Newton step solves its Jacobian system by GMRES, preconditioned by a
 direct solve of laplace_robin: eliminating the boundary rows leaves a
@@ -38,7 +39,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dlartg
 
 from .grid import BoxGrid, ScalarField
-from .operator import _grad_from_tensors, _value_from_sigmas, newton_tensors
+from .operator import _eta, _grad_from_tensors, _value_from_sigmas, newton_tensors
 from .operator import grad_at_eta  # noqa: F401  (unused here, like sigma_all; bench/tracing.py patches both)
 from .problem import ContinuationError, NonconvergenceError  # noqa: F401  (defined in problem, which loads no scipy)
 from .problem import ProblemSpec, _require_admissible, manufactured_problem, paraboloid
@@ -146,9 +147,8 @@ class SolveReport:
     """Per-iteration history, continuation path, and final diagnostics.
 
     ``preconditioner_factor_s`` is the time of the preconditioner's one
-    build.  continuation_solve, which shares the preconditioner between its
-    stages, fills it; it stays 0 in the report of a lone newton_solve and
-    when no Newton step ran.
+    build, which continuation_solve shares between its stages; it is 0 when
+    no Newton step ran.
     """
 
     converged: bool = False
@@ -184,8 +184,8 @@ def _face_rows(grid: BoxGrid, weights: tuple, scale: np.ndarray):
     """
     n, m = grid.n, grid.m
     depth = np.arange(len(weights))
-    faces = [np.moveaxis(grid.flat_index().take(i, axis=a), a, -1) for a in range(n) for i in (depth, m - 1 - depth)]
-    cols = np.concatenate([face.reshape(-1, depth.size) for face in faces])
+    stride = m ** np.arange(n - 1, -1, -1)
+    cols = np.concatenate([nodes[:, None] + step * stride[a] * depth for a, step, nodes in grid.faces()])
     data = np.outer(np.repeat(scale, 2 * m ** (n - 1)), weights)
     indptr = np.arange(0, cols.size + 1, depth.size)
     return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(len(cols), grid.size)), cols[:, 0]
@@ -356,9 +356,7 @@ def hessian_at(u: ScalarField, node: tuple[int, ...]) -> np.ndarray:
 
 def _eta_tensors(values: np.ndarray, spec: ProblemSpec, ops: _GridOperators):
     """newton_tensors of eta = trace(H) I - H at all interior nodes, up to the cone order: (sigma table, tensors)."""
-    hess = _interior_hessians(ops.hess, values)
-    tr = np.trace(hess, axis1=-2, axis2=-1)
-    return newton_tensors(tr[..., None, None] * np.eye(spec.grid.n) - hess, spec.op.cone_order)
+    return newton_tensors(_eta(_interior_hessians(ops.hess, values)), spec.op.cone_order)
 
 
 def _evaluate(values: np.ndarray, sig, spec: ProblemSpec, ops: _GridOperators, what: str):
@@ -588,7 +586,7 @@ def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops:
     report = SolveReport()
 
     def failure(reason):
-        report.residual_norm, report.final_margin = rnorm, mmin
+        report.residual_norm, report.final_margin, report.preconditioner_factor_s = rnorm, mmin, ops.factor_s
         return NonconvergenceError(f"{reason} at residual {rnorm:.3e}", report)
 
     for _ in range(opts.max_iter):
@@ -627,8 +625,7 @@ def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops:
         )
 
     report.converged = bool(rnorm <= tol)
-    report.residual_norm = rnorm
-    report.final_margin = mmin
+    report.residual_norm, report.final_margin, report.preconditioner_factor_s = rnorm, mmin, ops.factor_s
     return ScalarField(grid, u), report
 
 

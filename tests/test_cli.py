@@ -262,6 +262,26 @@ class TestSolve:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "beta,lo,hi",
+        [(1e300, 0.0, 1e8), (1.0, 0.0, 1e200), (1.0, 1e308, 1.7e308)],
+        ids=["beta-1e300", "box-1e200", "center-overflows"],
+    )
+    def test_overflowing_start_data_exit_2(self, tmp_path, fresh_python, beta, lo, hi):
+        # the continuation's start data u0 = |x - c|^2 / 2 and u0_nu + beta u0 overflow at the
+        # corners (in the last box, c = (lo + hi) / 2 itself); refused before numpy warns
+        doc = small_paraboloid_doc()
+        doc.update(beta=beta, phi={"kind": "constant", "value": 1.0})
+        doc["box"].update(lo=[lo] * 3, hi=[hi] * 3)
+        out = tmp_path / "out"
+        done = fresh_python("-m", "hessneumann", "solve", "--problem", str(write_problem(tmp_path, doc)),
+                            "--out", str(out))  # fmt: skip
+        assert done.returncode == 2
+        err = done.stderr.splitlines()
+        assert len(err) == 1, done.stderr
+        assert err[0].startswith("error: the continuation's start data u0_nu + beta u0 overflow")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "beta,phi",
         [(1.0, "1e300"), (1.0, "-1e155*x1"), (1e-3, "1e152"), (1e300, "0.5")],
         ids=["phi-1e300", "phi-minus-1e155", "small-beta", "beta-1e300"],

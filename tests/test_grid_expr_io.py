@@ -19,8 +19,8 @@ from hessneumann.problem import (
     paraboloid,
     perturbed_paraboloid,
 )
-from hessneumann.operator import OperatorSpec
-from hessneumann.symfun import ConeError
+from hessneumann.operator import OperatorSpec, eta_matrix
+from hessneumann.symfun import ConeError, sigma_all
 
 
 class TestBoxGrid:
@@ -45,6 +45,16 @@ class TestBoxGrid:
         fc = g.face_count()
         assert fc[0, 0] == 2 and fc[0, 4] == 1 and fc[4, 4] == 0
         assert fc.sum() == 4 * 9 - 4 + 4  # each face m nodes, corners double-counted
+        for g in (g, BoxGrid((0, -1, 2), (1, 3, 2.5), 11)):
+            faces = g.faces()
+            assert [(a, step) for a, step, _ in faces] == [(a, s) for a in range(g.n) for s in (1, -1)]  # lo, hi
+            count = np.zeros(g.size, dtype=int)
+            for a, step, nodes in faces:  # each face's nodes in C order, on that face
+                assert nodes.size == g.m ** (g.n - 1) and np.all(np.diff(nodes) > 0)
+                assert np.all(np.unravel_index(nodes, g.shape)[a] == (0 if step == 1 else g.m - 1))
+                count[nodes] += 1
+            np.testing.assert_array_equal(count.reshape(g.shape), g.face_count())
+            assert (count > 0).sum() == g.size - (g.m - 2) ** g.n  # every boundary node, no interior one
 
     def test_points_order(self):
         g = BoxGrid((0, 0), (1, 1), 9)
@@ -162,6 +172,19 @@ class TestManufactured:
         with pytest.raises(ConeError) as info:
             manufactured_problem(affine, OperatorSpec(2, 1), 1.0, g)
         assert info.value.node is not None
+
+    @pytest.mark.parametrize("case", [*MANUFACTURED_CASES, "quotient"])
+    def test_psi_matches_the_eigenvalue_sigma_table(self, case):
+        # psi from the Newton-tensor sigma table against sigma_all of the eta-matrices' eigenvalues
+        if case == "quotient":
+            field, op = perturbed_paraboloid(3, 0.05), OperatorSpec(3, 2, 1)
+            spec, _ = manufactured_problem(field, op, 1.0, BoxGrid((0, 0, 0), (1, 1, 1), 9))
+        else:
+            (spec, _), field = build_case(case, 9), MANUFACTURED_CASES[case].build_field()
+            op = spec.op
+        e = sigma_all(np.linalg.eigvalsh(eta_matrix(field.hessian(spec.grid.points()))), op.cone_order)
+        want = e[:, op.k] if op.l is None else e[:, op.k] / e[:, op.l]
+        np.testing.assert_allclose(spec.psi.values.ravel(), want, rtol=1e-13, atol=0)
 
     def test_perturbed_cases_admissible(self):
         for case in ("perturbed-paraboloid", "perturbed-paraboloid-2d"):

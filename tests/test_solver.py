@@ -533,8 +533,8 @@ class TestNewton:
         sol, rep = continuation_solve(staged)
         assert rep.converged and len(rep.continuation) > 1
         assert any(r.max_step is not None for r in rep.iterations)
-        # manufactured_problem builds the paraboloid start data once; then no stage decomposes
-        want = {"eigh": [], "eigvalsh": ["manufactured_problem", "diagnostics"], "diagnostics": ["continuation_solve"]}
+        # the paraboloid start data come from Newton tensors too, and no stage decomposes
+        want = {"eigh": [], "eigvalsh": ["diagnostics"], "diagnostics": ["continuation_solve"]}
         assert callers == want
         assert rep.diagnostics == diagnostics(sol)
 
@@ -550,6 +550,12 @@ class TestNewton:
             errs[m] = np.abs(sol.values - u_exact.values).max()
         assert krylov[17] and max(krylov[33]) <= max(krylov[17]) + 3
         assert abs(math.log2(errs[17] / errs[33]) - 2.0) <= 0.3
+
+    def test_lone_solve_reports_the_preconditioner_build(self):
+        spec, _ = build_case("perturbed-paraboloid", 9)
+        u0 = quadratic_field(spec.grid, np.eye(3), np.zeros(3))
+        sol, rep = newton_solve(u0, spec)
+        assert rep.converged and rep.iterations and rep.preconditioner_factor_s > 0
 
     def test_max_iter_reports_nonconvergence(self):
         spec, u_star = build_case("perturbed-paraboloid", 9)
