@@ -33,6 +33,10 @@ _MIN_ORDER = 1.7
 # sample-cone writes at most this many values, about 23 bytes of CSV text
 # each; it holds one chunk of rows in memory at a time
 _MAX_SAMPLE_VALUES = 4_000_000
+# the largest sample-cone --n: the sampler draws whole generator blocks of
+# 4096 rows, 16 MB at this n, whatever --count is, and --n 512 --k 256 runs
+# without a floating-point warning
+_MAX_SAMPLE_N = 512
 # bounds the run time of verify-lemmas, whose memory does not grow with the samples:
 # at this many samples and --n-max 6 a run took 226 s at 42 MB peak RSS (one thread,
 # on a 2-core Intel Xeon virtual machine)
@@ -230,6 +234,8 @@ def _cmd_mms_study(args) -> None:
 
 
 def _cmd_sample_cone(args) -> None:
+    if args.n > _MAX_SAMPLE_N:
+        raise _Failure(2, f"--n {args.n} exceeds the limit of {_MAX_SAMPLE_N} entries per sample")
     if args.count * args.n > _MAX_SAMPLE_VALUES:
         raise _Failure(2, f"--count {args.count} times --n {args.n} exceeds the limit of {_MAX_SAMPLE_VALUES} values")
     try:

@@ -31,7 +31,9 @@ All sweeps on one (n, cone order) stream share its work: each chunk is drawn
 once and walked in blocks, whose sigma tables, deleted tables and operator
 gradients are built once, read by every sweep of the group and freed once each
 sweep has folded its result into its report.  The tables keep the spectrum on
-axis 0, the public functions below on the last; both give the same floats.
+axis 0, as every table inside the package does, the public functions below on
+the last; both give the same floats.  A ConeError of a sweep names the failing
+sample by its index in the stream.
 """
 
 from __future__ import annotations
@@ -112,6 +114,21 @@ def _block_normals(seed: int, n: int, start: int, count: int) -> np.ndarray:
     return out.T
 
 
+def _cone_predicate(g: np.ndarray, k: int):
+    """(pred, table): pred(t) is whether all sigma_i(g + t*ones) > 1e-6, per row of the unscaled draw g (m, n).
+
+    t is a scalar or one shift per row; table (k+1, m) holds the last call's sigmas.
+    """
+    gt = _columns(g)
+    shifted = np.empty_like(gt)
+    table = np.empty((k + 1, g.shape[0]))
+
+    def pred(t):
+        return (_sigma_rows(np.add(gt, t, out=shifted), k, table)[1:] > _MARGIN).all(axis=0)
+
+    return pred, table
+
+
 def _shift_bisect(g: np.ndarray, k: int) -> np.ndarray:
     """Smallest t >= 0 with all sigma_i(g + t*ones) > 1e-6, per row of the unscaled draw g.
 
@@ -120,13 +137,7 @@ def _shift_bisect(g: np.ndarray, k: int) -> np.ndarray:
     endpoint, or until float64 cannot halve the bracket any more.  Each row's
     trajectory is independent of the batch it is evaluated in.
     """
-    gt = _columns(g)
-    shifted = np.empty_like(gt)
-    e = np.empty((k + 1, g.shape[0]))
-
-    def pred(t):
-        return (_sigma_rows(np.add(gt, t, out=shifted), k, e)[1:] > _MARGIN).all(axis=0)
-
+    pred, _ = _cone_predicate(g, k)
     t0 = np.zeros(g.shape[0])
     done = pred(t0)
     hi = np.ones_like(t0)
@@ -232,13 +243,7 @@ def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
     m, n = g.shape
     if n > _FAST_MAX_N:
         return _shift_bisect(g, k)
-    gt = _columns(g)
-    shifted = np.empty((n, m))
-    table = np.empty((k + 1, m))
-
-    def pred(t):
-        return (_sigma_rows(np.add(gt, t, out=shifted), k, table)[1:] > _MARGIN).all(axis=0)
-
+    pred, table = _cone_predicate(g, k)
     outside = ~pred(0.0)
     if not outside.any():
         return np.zeros(m)
@@ -429,11 +434,12 @@ class _Tables:
     The spectra (n, m), one sample per column, are "eta" (the samples), "sorted" (eta
     descending), "lam" = lambda_from_eta(eta), "tilde" = eta_from_lambda(lam) and "tilde10" =
     eta_from_lambda(10 lam).  Each has its sigma_0..sigma_c (c+1, m), deleted table (c, n, m)
-    and f_grad (n, m) per operator; every sweep of the block's group reads them.
+    and f_grad (n, m) per operator; every sweep of the block's group reads them.  ``origin``,
+    the stream index of the block's first sample, turns a ConeError's column into a sample index.
     """
 
-    def __init__(self, block: np.ndarray, c: int):
-        self.c = c
+    def __init__(self, block: np.ndarray, c: int, origin: int):
+        self.c, self.origin = c, origin
         self._memo = {"eta": _columns(block)}
 
     def _cached(self, key, build):
@@ -464,18 +470,18 @@ class _Tables:
 
 
 def _deleted_term_share_slack(t: _Tables, n, k, l):
-    _check_in_gamma(t.sigmas("eta"), "deleted_term_share")
+    _check_in_gamma(t.sigmas("eta"), "deleted_term_share", t.origin)
     ratio = _share(t.deleted("sorted"), k)
     return ratio, t.spectra("eta"), int((ratio < -1e-12).sum()), {}
 
 
 def _ellipticity_ratio_slack(t: _Tables, n, k, l):
     spec = OperatorSpec(n, k, l)
-    _check_in_gamma(t.sigmas("tilde"), "operator gradient")
+    _check_in_gamma(t.sigmas("tilde"), "operator gradient", t.origin)
     fg = t.f_grad("tilde", spec)
     fg_min = fg.min(axis=0)
     ratio = fg_min / fg.sum(axis=0)
-    _check_in_gamma(t.sigmas("tilde10"), "operator gradient")
+    _check_in_gamma(t.sigmas("tilde10"), "operator gradient", t.origin)
     ratio10 = _min_share(t.f_grad("tilde10", spec))
     pos_bad = int((fg_min <= 0.0).sum())
     scale_bad = int((np.abs(ratio - ratio10) > 1e-12).sum())
@@ -483,14 +489,14 @@ def _ellipticity_ratio_slack(t: _Tables, n, k, l):
 
 
 def _maclaurin_ratio_slack(t: _Tables, n, k, l):
-    _check_in_gamma(t.sigmas("eta"), "maclaurin_ratio")
+    _check_in_gamma(t.sigmas("eta"), "maclaurin_ratio", t.origin)
     alpha = _alpha(t.deleted("eta"), k, l)
     slack = np.minimum(alpha, maclaurin_bound(n, k, l) - alpha).min(axis=0)
     return slack, t.spectra("eta"), int((slack < -1e-12).sum()), {"max_alpha": float(alpha.max())}
 
 
 def _trace_bound_slack(t: _Tables, n, k, l):
-    _check_in_gamma(t.sigmas("tilde"), "operator gradient")
+    _check_in_gamma(t.sigmas("tilde"), "operator gradient", t.origin)
     slack = t.f_grad("tilde", OperatorSpec(n, k)).sum(axis=0) - trace_lower_bound(n, k)
     return slack, t.spectra("lam"), int((slack < -1e-10).sum()), {}
 
@@ -535,7 +541,7 @@ def run_plan(plan, *, samples, seed, scale=1.0) -> list[SweepReport]:
         i = min(errors)
         (family, n, k, l), exc = plan[i], errors[i]
         message = f"{family} n={n} k={k} l={l}: a sample left the cone: {exc}"
-        raise ConeError(message, order=exc.order, value=exc.value) from exc
+        raise ConeError(message, order=exc.order, value=exc.value, node=exc.node) from exc
     return reports
 
 
@@ -545,7 +551,7 @@ def _fold_chunk(draw, sweeps, errors) -> None:
     eta = sample_block(*draw)
     draw_share = (time.perf_counter() - t0) / len(sweeps)
     for a in range(0, eta.shape[0], _SUB_BLOCK):
-        tables = _Tables(eta[a : a + _SUB_BLOCK], draw[1])
+        tables = _Tables(eta[a : a + _SUB_BLOCK], draw[1], draw[4] + a)
         for i, rep in sweeps:
             if i in errors:
                 continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symfun import _as_values, _by_columns, _check_in_gamma, _columns, _deleted_sigmas, _require_in_gamma
+from .symfun import _as_values, _by_columns, _check_in_gamma, _deleted_sigmas, _require_in_gamma
 from .symfun import sigma_all, sigma_grad  # noqa: F401  (unused here; bench/tracing.py patches these bindings)
 
 __all__ = [
@@ -115,7 +115,7 @@ def _eta(r: np.ndarray) -> np.ndarray:
 
 
 def newton_tensors(s, c: int):
-    """(sigma_0..sigma_c of s's eigenvalues stacked as by sigma_all, [T_0 .. T_{c-1}]) without eigenvalues.
+    """(sigma_0..sigma_c of s's eigenvalues on a leading axis, shape (c+1, ...), [T_0 .. T_{c-1}]) without eigenvalues.
 
     The Faddeev-LeVerrier recurrence T_0 = I, sigma_i = trace(s T_{i-1}) / i,
     T_i = sigma_i I - s T_{i-1} on symmetric s; T_{i-1} = d sigma_i / d s is
@@ -123,33 +123,36 @@ def newton_tensors(s, c: int):
     """
     s = np.asarray(s, dtype=float)
     eye = np.eye(s.shape[-1])
-    e = np.ones(s.shape[:-2] + (c + 1,))
+    e = np.ones((c + 1,) + s.shape[:-2])
     tensors = [eye]
     for i in range(1, c + 1):
-        e[..., i] = np.einsum("...ij,...ji->...", s, tensors[-1]) / i
+        e[i] = np.einsum("...ij,...ji->...", s, tensors[-1]) / i
         if i < c:
-            tensors.append(e[..., i, None, None] * eye - (s if i == 1 else s @ tensors[-1]))
+            tensors.append(e[i, ..., None, None] * eye - (s if i == 1 else s @ tensors[-1]))
     return e, tensors
 
 
 def _grad_from_tensors(e: np.ndarray, tensors: list, spec: OperatorSpec) -> np.ndarray:
     """dF/dr = _eta(a) from eta(r)'s newton_tensors, a = df/d eta with d sigma_j = T_{j-1}."""
-    a = _grad_from_sigmas(np.moveaxis(e, -1, 0)[..., None, None], tensors, spec)
+    a = _grad_from_sigmas(e[..., None, None], tensors, spec)
     return _eta(a)  # the transform is its own adjoint in the Frobenius pairing
 
 
 def value_at_eta(eta, spec: OperatorSpec):
     """Normalized operator value from the transformed eigenvalues eta."""
-    vals = _as_values(eta)
-    out = _value_from_sigmas(_by_columns(_require_in_gamma, vals, spec.cone_order, "operator value"), spec)
-    return float(out) if vals.ndim == 1 else out
+    return _by_columns(
+        lambda et: _value_from_sigmas(_require_in_gamma(et, spec.cone_order, "operator value"), spec), _as_values(eta)
+    )
+
+
+def _raw_value(e: np.ndarray, spec: OperatorSpec) -> np.ndarray:
+    """sigma_k, or sigma_k / sigma_l for the quotient, from a table e of sigma_0..sigma_c (c >= spec.cone_order)."""
+    return e[spec.k] if spec.l is None else e[spec.k] / e[spec.l]
 
 
 def _value_from_sigmas(e: np.ndarray, spec: OperatorSpec) -> np.ndarray:
-    """The normalized operator from a table e of sigma_0..sigma_c (c >= spec.cone_order)."""
-    if spec.l is None:
-        return e[..., spec.k] ** (1.0 / spec.k)
-    return (e[..., spec.k] / e[..., spec.l]) ** (1.0 / spec.degree)
+    """The normalized operator, _raw_value to the power 1/degree."""
+    return _raw_value(e, spec) ** (1.0 / spec.degree)
 
 
 def grad_at_eta(eta, spec: OperatorSpec) -> np.ndarray:
@@ -163,15 +166,13 @@ def grad_at_eta(eta, spec: OperatorSpec) -> np.ndarray:
 
 
 def _grad_from_sigmas(e, d, spec: OperatorSpec):
-    """df/d eta by the chain rule from e[j] = sigma_j(eta) and d[j - 1] = d sigma_j / d eta, broadcast together.
+    """df/d eta, _value_from_sigmas' chain rule, from e[j] = sigma_j(eta) and d[j - 1] = d sigma_j / d eta, broadcast.
 
     grad_at_eta passes the (c+1, m) sigma table and the deleted table, d sigma_j / d eta_i = sigma_{j-1}(eta | i).
     """
     k, l = spec.k, spec.l
-    if l is None:
-        return (1.0 / k) * e[k] ** (1.0 / k - 1.0) * d[k - 1]
-    w = (d[k - 1] * e[l] - e[k] * d[l - 1]) / e[l] ** 2
-    return (1.0 / spec.degree) * (e[k] / e[l]) ** (1.0 / spec.degree - 1.0) * w
+    w = d[k - 1] if l is None else (d[k - 1] * e[l] - e[k] * d[l - 1]) / e[l] ** 2
+    return (1.0 / spec.degree) * _raw_value(e, spec) ** (1.0 / spec.degree - 1.0) * w
 
 
 def f_value(lam, spec: OperatorSpec):
@@ -202,13 +203,13 @@ def f_grad_matrix(r, spec: OperatorSpec) -> np.ndarray:
     f_grad.  Raises ConeError unless eta_matrix(r) lies in the open cone.
     """
     e, tensors = newton_tensors(eta_matrix(r), spec.cone_order)
-    _check_in_gamma(_columns(e), "operator gradient")
+    _check_in_gamma(e, "operator gradient")
     return _grad_from_tensors(e, tensors, spec)
 
 
 def admissible(r, spec: OperatorSpec):
     """Whether eta_matrix(r)'s spectrum lies in the required cone, plus margin."""
-    m = np.min(newton_tensors(eta_matrix(r), spec.cone_order)[0][..., 1:], axis=-1)
+    m = np.min(newton_tensors(eta_matrix(r), spec.cone_order)[0][1:], axis=0)
     if np.asarray(r).ndim == 2:
         return bool(m > 0.0), float(m)
     return m > 0.0, m

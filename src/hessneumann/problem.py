@@ -11,8 +11,8 @@ import numpy as np
 
 from .expr import ExpressionError, compile_expression
 from .grid import BoxGrid, ScalarField
-from .operator import OperatorSpec, _eta, newton_tensors
-from .symfun import ConeError
+from .operator import OperatorSpec, _eta, _raw_value, newton_tensors
+from .symfun import _check_in_gamma
 from .symfun import sigma_all  # noqa: F401  (unused here; bench/tracing.py patches this binding)
 
 if TYPE_CHECKING:
@@ -133,22 +133,6 @@ def perturbed_paraboloid(n: int, amplitude: float) -> ClosedFormField:
     return ClosedFormField(value, gradient, hessian)
 
 
-def _require_admissible(e: np.ndarray, what: str, origin: int = 0) -> float:
-    """Least cone margin min_{i >= 1} sigma_i of a table e of sigma_0..sigma_c over grid nodes.
-
-    Raises ConeError at the worst node unless every margin is positive.  The
-    node axes of e cover the grid from index ``origin`` on every axis, so the
-    node is reported in full-grid indices.
-    """
-    margins = e[..., 1:].min(axis=-1)
-    flat = int(np.argmin(margins))
-    worst = float(margins.reshape(-1)[flat])
-    if not worst > 0.0:
-        node = tuple(int(i) + origin for i in np.unravel_index(flat, margins.shape))
-        raise ConeError(f"{what} inadmissible at node {node} (cone margin {worst:.6g})", node=node, value=worst)
-    return worst
-
-
 def _robin_data(grid: BoxGrid, beta: float, u: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """u_nu + beta * u on boundary nodes, zero inside.
 
@@ -169,17 +153,17 @@ def _robin_data(grid: BoxGrid, beta: float, u: np.ndarray, grad: np.ndarray) -> 
 def manufactured_problem(u_star: ClosedFormField, op: OperatorSpec, beta: float, grid: BoxGrid):
     """Turn a closed-form field into the problem it solves exactly.
 
-    psi is the raw operator value (sigma_k or the sigma quotient of the
-    transformed analytic Hessian, from its newton_tensors, so without an
-    eigendecomposition) at every node; phi is the outward normal
+    psi is the raw operator value (operator._raw_value of the transformed
+    analytic Hessian's newton_tensors, so without an eigendecomposition) at
+    every node; phi is the outward normal
     derivative plus beta * u_star on the boundary, corner nodes averaging
     their axis conditions.  Rejects u_star unless it is admissible at every
     grid node.  Returns (ProblemSpec, u_star sampled on the grid).
     """
     pts = grid.points()
-    e = newton_tensors(_eta(u_star.hessian(pts)), op.cone_order)[0].reshape(grid.shape + (-1,))
-    _require_admissible(e, "manufactured field")
-    psi = ScalarField(grid, e[..., op.k] if op.l is None else e[..., op.k] / e[..., op.l])
+    e = newton_tensors(_eta(u_star.hessian(pts)), op.cone_order)[0].reshape((-1,) + grid.shape)
+    _check_in_gamma(e, "manufactured field")
+    psi = ScalarField(grid, _raw_value(e, op))
 
     u_vals = u_star.value(pts).reshape(grid.shape)
     grad = u_star.gradient(pts).T.reshape((grid.n,) + grid.shape)

@@ -17,7 +17,9 @@ each interior node's linearization fw = dF/dr.
 Cone checks, residual, Jacobian and the step to the cone boundary read only
 sigma_1..sigma_c of the interior eta-matrices and their Newton tensors, from
 operator.newton_tensors, as does manufactured_problem for the start data;
-``diagnostics`` is the one eigenvalue computation.
+``diagnostics`` is the one eigenvalue computation.  The sigma table has the
+order on axis 0, and every cone check is symfun._check_in_gamma, which names
+the worst node in full-grid indices.
 
 Each Newton step solves its Jacobian system by GMRES, preconditioned by a
 direct solve of laplace_robin: eliminating the boundary rows leaves a
@@ -25,6 +27,8 @@ Kronecker sum of 1-D operators on the interior, which one tridiagonal
 eigendecomposition per axis and grid diagonalizes (_laplace_robin_solve).
 The GMRES loop is here, scipy's algorithm with its vector arithmetic in
 np.einsum, which calls no BLAS and so wakes no OpenBLAS thread (see _dot).
+It stops on scipy's relative residual test or, where float64 cannot meet
+that, on a backward error of 16 eps (see _newton_direction).
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from .grid import BoxGrid, ScalarField
 from .operator import _eta, _grad_from_tensors, _value_from_sigmas, newton_tensors
 from .operator import grad_at_eta  # noqa: F401  (unused here, like sigma_all; bench/tracing.py patches both)
 from .problem import ContinuationError, NonconvergenceError  # noqa: F401  (defined in problem, which loads no scipy)
-from .problem import ProblemSpec, _require_admissible, manufactured_problem, paraboloid
-from .symfun import ConeError, sigma_all  # noqa: F401
+from .problem import ProblemSpec, manufactured_problem, paraboloid
+from .symfun import ConeError, _check_in_gamma, sigma_all  # noqa: F401
 
 __all__ = [
     "NewtonOptions",
@@ -71,9 +75,11 @@ _FRACTION_TO_BOUNDARY = 0.99
 # Relative rounding allowed in the polynomial fit of _max_admissible_step.
 _FIT_ROUNDING = 64.0 * np.finfo(float).eps
 
-# GMRES stopping test on the true residual |b - J x| <= rtol |b|; restarts of
-# up to _GMRES_RESTART iterations, at most _GMRES_MAXITER of them.
+# GMRES stopping tests on the true residual: |b - J x| <= rtol |b|, or the
+# backward-error test of _newton_direction; restarts of up to _GMRES_RESTART
+# iterations, at most _GMRES_MAXITER of them.
 _GMRES_RTOL = 1e-10
+_GMRES_BACKWARD = 16.0 * np.finfo(float).eps
 _GMRES_RESTART = 60
 _GMRES_MAXITER = 5
 
@@ -362,10 +368,10 @@ def _eta_tensors(values: np.ndarray, spec: ProblemSpec, ops: _GridOperators):
 def _evaluate(values: np.ndarray, sig, spec: ProblemSpec, ops: _GridOperators, what: str):
     """(least cone margin, residual) at values, whose interior eta tensors are sig = _eta_tensors(values).
 
-    Raises ConeError at the worst node unless every interior node is strictly
-    admissible.
+    Raises ConeError at the worst node, in full-grid indices, unless every
+    interior node is strictly admissible.
     """
-    margin = _require_admissible(sig[0], what, origin=1)
+    margin = _check_in_gamma(sig[0], what, origin=1)
     grid = spec.grid
     out = (ops.robin @ values.ravel()).reshape(grid.shape) - spec.phi.values
     core = grid.interior()
@@ -390,7 +396,7 @@ def _max_admissible_step(
     c = spec.op.cone_order
     s = np.arange(c + 1) / c  # alpha / alpha_out
     inner = [_eta_tensors(values + (alpha_out * x) * delta, spec, ops)[0] for x in s[1:-1]]
-    e = np.stack([table[..., 1:] for table in (e_in, *inner, e_out)])
+    e = np.stack([table[1:] for table in (e_in, *inner, e_out)])
     coef = np.empty_like(e)  # coef[q] multiplies s**q
     coef[0] = e[0]
     vander = s[1:, None] ** np.arange(1, c + 1)
@@ -427,7 +433,7 @@ def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
     """Sparse derivative of the residual with respect to every nodal value; raises ConeError off the cone."""
     ops = _GridOperators(spec.grid, spec.beta)
     sig = _eta_tensors(u.values, spec, ops)
-    _require_admissible(sig[0], "iterate", origin=1)
+    _check_in_gamma(sig[0], "iterate", origin=1)
     return ops.jacobian(_grad_from_tensors(*sig, spec.op))
 
 
@@ -462,8 +468,19 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
     1986): left preconditioning, restarts of _GMRES_RESTART iterations, at
     most _GMRES_MAXITER of them, modified Gram-Schmidt, Givens rotations from
     LAPACK's dlartg, and the gh-8400 control of the inner tolerance ptol on
-    the preconditioned residual.  It stops on the true residual,
-    |rhs - mat @ x| <= _GMRES_RTOL |rhs|.
+    the preconditioned residual.  It stops on the true residual r = rhs -
+    mat @ x, once |r| <= _GMRES_RTOL |rhs| or, tested only when that fails,
+    |r| <= 16 eps (| |mat| |x| | + |rhs|), all 2-norms.
+
+    The second test is a normwise backward error of at most 16 eps: x then
+    solves exactly a system whose matrix and right-hand side differ from mat
+    and rhs by at most that relative amount (Rigal & Gaches 1967; Arioli,
+    Duff & Ruiz 1992).  Forming r in float64 rounds each entry by up to
+    p eps (|mat| |x| + |rhs|), p the taps of its row (Higham 2002, 3.5), and
+    errors of either sign grow like sqrt(p) eps, about 4 eps for the 19 taps
+    of a 3-D interior row; so 16 eps lies just above the floor below which
+    the computed |r| says nothing.  On a fine grid or at a small beta the
+    1e-10 test can lie below that floor, where no x passes it.
     """
     psolve = precond.solver(mat.diagonal())
     eps = np.finfo(float).eps
@@ -530,7 +547,8 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
             x += np.einsum("i,ij", y, v[: col + 1])  # no BLAS gemv either
             r = rhs - mat @ x
             rnorm = _norm(r)
-            if rnorm <= atol or breakdown:
+            ok = rnorm <= atol or rnorm <= _GMRES_BACKWARD * (_norm(abs(mat) @ np.abs(x)) + bnrm2)
+            if ok or breakdown:
                 break
             if presid <= ptol:
                 ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
@@ -538,7 +556,7 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
                 ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
             ptol = presid * min(ptol_max_factor, atol / rnorm)
             z = psolve(r)
-    return (x if rnorm <= atol else None), iterations
+    return (x if ok else None), iterations
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ __all__ = [
 class ConeError(ValueError):
     """Required Garding-cone membership does not hold.
 
-    ``order`` is the 1-based order i of the first sigma_i that is not
-    strictly positive, ``value`` its value.  Solver-side failures also carry
-    the offending grid ``node``.
+    ``order`` is the 1-based order i of the sigma_i that attains the least
+    cone margin, ``value`` that margin and ``node`` its position: a grid
+    node, or a sample's index in its stream.
     """
 
     def __init__(self, message, *, order=None, value=None, node=None):
@@ -169,26 +169,27 @@ def cone_margin(lam, k: int):
 
 
 def _require_in_gamma(vt: np.ndarray, k: int, what: str) -> np.ndarray:
-    """Return the table sigma_0..sigma_k (k+1, m) of the columns vt (n, m), raising ConeError on the first violation."""
+    """Return the table sigma_0..sigma_k (k+1, m) of the columns vt (n, m), checked by _check_in_gamma."""
     e = _sigma_rows(vt, k)
     _check_in_gamma(e, what)
     return e
 
 
-def _check_in_gamma(e: np.ndarray, what: str) -> None:
-    """Raise ConeError at the first column of the table e = sigma_0..sigma_k (k+1, m) with some sigma_i <= 0."""
-    k = e.shape[0] - 1
-    bad = e[1:] <= 0.0
-    if bad.any():
-        sample = int(np.argmax(bad.any(axis=0)))
-        order = int(np.argmax(bad[:, sample])) + 1
-        value = float(e[order, sample])
-        raise ConeError(
-            f"{what}: sigma_{order} = {value:.6g} <= 0, spectrum outside the "
-            f"order-{k} cone",
-            order=order,
-            value=value,
-        )
+def _check_in_gamma(e: np.ndarray, what: str, origin: int = 0) -> float:
+    """Least cone margin min_{i >= 1} sigma_i of a table e = sigma_0..sigma_c (c+1, ...) of any batch shape.
+
+    Unless it is positive (NaN is not), raises ConeError at the worst position, plus ``origin`` on every axis.
+    """
+    margins = e[1:].min(axis=0)
+    flat = int(np.argmin(margins))  # the first NaN, if any
+    worst = float(margins.reshape(-1)[flat])
+    if not worst > 0.0:
+        pos = np.unravel_index(flat, margins.shape)
+        order = int(np.argmin(e[(slice(1, None), *pos)])) + 1
+        node = tuple(int(i) + origin for i in pos)
+        message = f"{what}: sigma_{order} = {worst:.6g} at node {node}, outside the order-{e.shape[0] - 1} cone"
+        raise ConeError(message, order=order, value=worst, node=node)
+    return worst
 
 
 def newton_maclaurin_gap(lam, k: int, l: int, r: int, s: int):

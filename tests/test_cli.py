@@ -118,7 +118,7 @@ class TestVerifyLemmas:
         assert main(["verify-lemmas", "--n-max", "3", "--samples", "50", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "error: maclaurin-ratio n=3 k=2 l=1: a sample left the cone" in err
-        assert "maclaurin_ratio: sigma_3 = -1 <= 0, spectrum outside the order-3 cone" in err
+        assert "maclaurin_ratio: sigma_3 = -1 at node (0,), outside the order-3 cone" in err
 
     def test_samples_over_the_cap_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run_plan", lambda *args, **kwargs: pytest.fail("run_plan ran"))
@@ -162,6 +162,15 @@ class TestSolve:
         pts = np.stack(np.meshgrid(*(np.linspace(0, 1, 9),) * 3, indexing="ij"), axis=-1)
         exact = 0.5 * ((pts - 0.5) ** 2).sum(axis=-1)
         assert np.abs(values - exact).max() < 1e-9
+
+    def test_small_beta_converges(self, tmp_path):
+        # at beta = 1e-3 GMRES cannot meet its 1e-10 relative test in float64; it stops on the backward error
+        doc = json.loads((REPO / "problems" / "paraboloid-17.json").read_text(encoding="utf-8"))
+        doc["beta"] = 1e-3
+        out = tmp_path / "out"
+        assert main(["solve", "--problem", str(write_problem(tmp_path, doc)), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is True and all(stage["converged"] for stage in report["continuation"])
 
     def test_beta_validation(self, tmp_path):
         doc = small_paraboloid_doc()
@@ -440,6 +449,13 @@ class TestSampleCone:
         monkeypatch.setattr(cli, "ConeSampler", lambda *args: pytest.fail("the sampler ran"))
         argv = ["sample-cone", "--n", "3", "--k", "2", "--count", "1000000000", "--out", str(tmp_path / "s.csv")]
         assert "1000000000" in refused_without_allocating(argv, capsys)
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("n", [513, 4000000])
+    def test_n_over_the_cap_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, n):
+        monkeypatch.setattr(cli, "ConeSampler", lambda *args: pytest.fail("the sampler ran"))
+        argv = ["sample-cone", "--n", str(n), "--k", "1", "--count", "1", "--out", str(tmp_path / "s.csv")]
+        assert f"--n {n} exceeds the limit of 512" in refused_without_allocating(argv, capsys)
         assert not (tmp_path / "s.csv").exists()
 
     def test_bad_cone_index(self):

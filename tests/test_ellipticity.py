@@ -446,11 +446,11 @@ class TestRunPlan:
         outside_eta_cone(monkeypatch, n=4)
         message = (
             "maclaurin-ratio n=4 k=2 l=1: a sample left the cone: "
-            "maclaurin_ratio: sigma_3 = -1 <= 0, spectrum outside the order-3 cone"
+            r"maclaurin_ratio: sigma_3 = -1 at node \(0,\), outside the order-3 cone"
         )
         with pytest.raises(ConeError, match=message) as info:
             run_plan(default_sweep_plan(4), samples=100, seed=seed)
-        assert (info.value.order, info.value.value) == (3, -1.0)
+        assert (info.value.order, info.value.value, info.value.node) == (3, -1.0, (0,))
 
     @pytest.mark.parametrize("first,second", [("ellipticity-ratio", "trace-bound"), ("trace-bound", "ellipticity-ratio")])
     def test_cone_error_names_the_first_failing_sweep_in_plan_order(self, monkeypatch, first, second):
@@ -586,7 +586,7 @@ class TestSharedTables:
                 eta[np.random.default_rng(c).random(eta.shape) < 0.2] = 0.0
                 eta = eta[in_every_table_cone(eta, c)]
                 assert len(eta) > 20 and ((eta == 0.0).any() or c == n), (n, c)
-            tables = ellipticity._Tables(eta, c)
+            tables = ellipticity._Tables(eta, c, 0)
             lam = lambda_from_eta(eta)
             for family, _, k, l in members:
                 slack, spectra, _, _ = ellipticity._FAMILIES[family][0](tables, n, k, l)

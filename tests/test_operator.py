@@ -147,9 +147,9 @@ class TestNewtonTensors:
         e, tensors = newton_tensors(eta, c)
         lam, q = np.linalg.eigh(eta)
         scale = np.abs(lam).max(axis=-1)
-        assert e.shape == (len(eta), c + 1) and len(tensors) == c
+        assert e.shape == (c + 1, len(eta)) and len(tensors) == c
         for i in range(c + 1):
-            err = np.abs(e[:, i] - sigma_all(lam, c)[:, i])
+            err = np.abs(e[i] - sigma_all(lam, c)[:, i])
             assert (err <= 1e-13 * math.comb(n, i) * scale**i).all()
         for i, t in enumerate(tensors):
             # T_i = d sigma_{i+1} / d eta = Q diag(sigma_i(lam | j)) Q^T

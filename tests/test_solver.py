@@ -190,8 +190,11 @@ class TestNewtonTensorJacobian:
 
     def test_inadmissible_iterate_named_by_node(self):
         spec, u_star = paraboloid_spec(m=9)
-        with pytest.raises(ConeError, match="iterate inadmissible at node"):
+        # every interior eta-matrix is -2 I, so the first interior node is the worst
+        message = r"iterate: sigma_1 = -6 at node \(1, 1, 1\), outside the order-2 cone"
+        with pytest.raises(ConeError, match=message) as info:
             jacobian(ScalarField(spec.grid, -u_star.values), spec)
+        assert (info.value.order, info.value.value, info.value.node) == (1, -6.0, (1, 1, 1))
 
 
 class TestLaplaceRobin:

@@ -259,3 +259,91 @@ class TestNewtonMaclaurin:
                 for kk, ll, rr, ss in quads:
                     gap = newton_maclaurin_gap(eta, kk, ll, rr, ss)
                     assert gap.min() >= -1e-12
+
+
+def _sweep_error(monkeypatch):
+    """sigma_3 of stream sample 2053, the sixth of the second 2048-row block, reads -1 in a sweep's table."""
+    from hessneumann import ellipticity
+
+    real = ellipticity._Tables.sigmas
+    named = []
+
+    def sigmas(self, name):
+        e = real(self, name)
+        if name == "eta" and self.origin == 2048:
+            e = e.copy()
+            e[3, 5] = -1.0
+            named.append(self.spectra("eta")[:, 5].copy())
+        return e
+
+    monkeypatch.setattr(ellipticity._Tables, "sigmas", sigmas)
+    with pytest.raises(ConeError) as info:
+        ellipticity.run_plan([("maclaurin-ratio", 3, 2, 1)], samples=5000, seed=9)
+    # the stream index names the sample that sample-cone writes on that row
+    assert np.array_equal(ellipticity.sample_block(3, 3, 9, 1.0, 2053, 1)[0], named[0])
+    return info.value, "maclaurin_ratio", 3, -1.0, (2053,)
+
+
+def _matrix_error(monkeypatch):
+    """f_grad_matrix on a (2, 3) batch: eta = -2 I at (1, 2) is worse than a sigma_2 < 0 at (0, 1)."""
+    from hessneumann.operator import OperatorSpec, f_grad_matrix
+
+    r = np.broadcast_to(np.eye(3), (2, 3, 3, 3)).copy()
+    r[0, 1] = np.diag([1.0, 1.0, -1.9])  # eta = (-0.9, -0.9, 2): sigma_2 = -2.79
+    r[1, 2] = -np.eye(3)  # eta = -2 I: sigma_1 = -6
+    with pytest.raises(ConeError) as info:
+        f_grad_matrix(r, OperatorSpec(3, 2))
+    return info.value, "operator gradient", 1, -6.0, (1, 2)
+
+
+def _manufactured_error(monkeypatch):
+    """A closed-form field whose Hessian is -I at node (2, 3, 4) and diag(1, 1, -1.9) at (1, 1, 1)."""
+    from hessneumann.grid import BoxGrid
+    from hessneumann.operator import OperatorSpec
+    from hessneumann.problem import ClosedFormField, manufactured_problem, paraboloid
+
+    grid = BoxGrid((0.0,) * 3, (1.0,) * 3, 9)
+    field = paraboloid(grid.center)
+
+    def hessian(p):
+        h = field.hessian(p)
+        h[np.ravel_multi_index((1, 1, 1), grid.shape)] = np.diag([1.0, 1.0, -1.9])
+        h[np.ravel_multi_index((2, 3, 4), grid.shape)] = -np.eye(3)
+        return h
+
+    with pytest.raises(ConeError) as info:
+        manufactured_problem(ClosedFormField(field.value, field.gradient, hessian), OperatorSpec(3, 2), 1.0, grid)
+    return info.value, "manufactured field", 1, -6.0, (2, 3, 4)
+
+
+def _iterate_error(monkeypatch):
+    """The paraboloid solution raised by 1 at the center node, whose Hessian is then 1 - 2 / h^2 = -127 times I."""
+    from hessneumann.grid import BoxGrid, ScalarField
+    from hessneumann.operator import OperatorSpec, admissible
+    from hessneumann.problem import manufactured_problem, paraboloid
+    from hessneumann.solver import hessian_at, residual
+
+    grid = BoxGrid((0.0,) * 3, (1.0,) * 3, 9)
+    spec, u_star = manufactured_problem(paraboloid(grid.center), OperatorSpec(3, 2), 1.0, grid)
+    values = u_star.values.copy()
+    values[4, 4, 4] += 1.0
+    u = ScalarField(grid, values)
+    nodes = list(np.ndindex((7, 7, 7)))
+    margins = admissible(np.stack([hessian_at(u, np.add(node, 1)) for node in nodes]), spec.op)[1]
+    worst = int(np.argmin(margins))
+    with pytest.raises(ConeError) as info:
+        residual(u, spec)
+    return info.value, "iterate", 1, float(margins[worst]), tuple(int(i) + 1 for i in nodes[worst])
+
+
+class TestOneConeCheck:
+    @pytest.mark.parametrize(
+        "source",
+        [_sweep_error, _matrix_error, _manufactured_error, _iterate_error],
+        ids=["sweep", "f_grad_matrix", "manufactured", "iterate"],
+    )
+    def test_error_names_the_least_margin_and_its_node(self, monkeypatch, source):
+        exc, what, order, value, node = source(monkeypatch)
+        assert (exc.order, exc.value, exc.node) == (order, value, node)
+        cone = 3 if what == "maclaurin_ratio" else 2
+        assert f"{what}: sigma_{order} = {value:.6g} at node {node}, outside the order-{cone} cone" in str(exc)
