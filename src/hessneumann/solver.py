@@ -647,10 +647,6 @@ def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops:
     return ScalarField(grid, u), report
 
 
-def _default_targets() -> list[float]:
-    return [round(0.1 * i, 12) for i in range(1, 11)]
-
-
 def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
     """Continuation from the exactly solvable paraboloid data to the target.
 
@@ -658,10 +654,11 @@ def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
     data (psi0, phi0) exactly.  Stage t blends the normalized data,
     psi_t = ((1-t) psi0_tilde + t psi_tilde) ** degree and
     phi_t = (1-t) phi0 + t phi, warm-starting each stage from the previous
-    solution.  Nonconverged stages halve the step, down to 1/256; if the
-    target data already equals the start data the path collapses to the
-    single stage t = 1.  The report's residual_norm and final_margin are
-    those of the last stage attempted, converged or not.
+    solution.  The stages are the schedule's entries below 1, then t = 1, so
+    a problem without a schedule starts at the target data.  A nonconverged
+    stage halves the step from the last converged t, down to 1/256.  The
+    report's residual_norm and final_margin are those of the last stage
+    attempted, converged or not.
     """
     grid, op = spec.grid, spec.op
     spec0, u_start = manufactured_problem(paraboloid(grid.center), op, spec.beta, grid)
@@ -670,16 +667,7 @@ def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
     psi1_t = spec.psi_tilde()
     phi0 = spec0.phi.values
     phi1 = spec.phi.values
-
-    if spec.schedule is not None:
-        targets = list(spec.schedule)
-        if targets[-1] != 1.0:
-            targets.append(1.0)
-    else:
-        core = grid.interior()
-        bmask = grid.boundary_mask()
-        identical = np.array_equal(psi0_t[core], psi1_t[core]) and np.array_equal(phi0[bmask], phi1[bmask])
-        targets = [1.0] if identical else _default_targets()
+    targets = [t for t in spec.schedule or () if t < 1.0] + [1.0]
 
     report = SolveReport()
     ops = _GridOperators(grid, spec.beta)

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 from hessneumann import cli
 from hessneumann.cli import main
+from hessneumann.ellipticity import SweepReport
+from hessneumann.grid import ScalarField
+from hessneumann.problem import NonconvergenceError
+from hessneumann.solver import SolveReport
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -22,9 +26,14 @@ def refused_without_allocating(argv, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
+    assert peak < 1 << 20
+    return single_error_line(capsys)
+
+
+def single_error_line(capsys):
+    """The one line a failed command writes to stderr; a traceback would add lines."""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert peak < 1 << 20
     return err[0]
 
 
@@ -132,6 +141,15 @@ class TestVerifyLemmas:
         monkeypatch.setattr(cli, "default_sweep_plan", lambda n_max: [])
         assert main(["verify-lemmas", "--samples", str(cli._MAX_SWEEP_SAMPLES), "--out", str(tmp_path)]) == 0
         assert seen == [cli._MAX_SWEEP_SAMPLES]
+
+    def test_violations_exit_1(self, tmp_path, capsys, monkeypatch):
+        def violated(plan, *, samples, seed, scale):
+            return [SweepReport(f, n, k, l, samples, seed, scale, -1.0, [1.0] * n, 1, 0.0) for f, n, k, l in plan]
+
+        monkeypatch.setattr(cli, "run_plan", violated)
+        assert main(["verify-lemmas", "--n-max", "2", "--out", str(tmp_path)]) == 1
+        assert "sweep(s) with violations; first offender" in single_error_line(capsys)
+        assert (tmp_path / "summary.csv").exists()
 
     @pytest.mark.parametrize("threads", ["abc", "2.5", "1e3"])
     def test_thread_count_variable_is_ignored(self, tmp_path, monkeypatch, threads):
@@ -384,6 +402,27 @@ class TestMmsStudy:
 
     def test_unknown_case(self, tmp_path):
         assert main(["mms-study", "--case", "nope", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "outcome, message",
+        [
+            ("raises", "m=9: line search underflow"),
+            ("not-converged", "m=9: Newton did not converge"),
+            ("first-order", "final observed order 0.99"),
+        ],
+    )
+    def test_failed_study_exits_1(self, tmp_path, capsys, monkeypatch, outcome, message):
+        def newton(u_exact, spec):
+            if outcome == "raises":
+                raise NonconvergenceError("line search underflow", SolveReport())
+            # an error of h, which falls at first order
+            solution = ScalarField(spec.grid, u_exact.values + spec.grid.h.max())
+            return solution, SolveReport(converged=outcome == "first-order")
+
+        monkeypatch.setattr(cli, "newton_solve", newton)
+        argv = ["mms-study", "--case", "perturbed-paraboloid-2d", "--grids", "9,17", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert message in single_error_line(capsys)
 
     def test_bad_grids(self, tmp_path, capsys):
         for grids in ("9", "a,b", "9,9", "8,9", "9,17,9", "7,9"):

@@ -511,7 +511,7 @@ class TestNewton:
         spec, u_star = build_case("perturbed-paraboloid", 9)
         grid = spec.grid
         u0 = ScalarField(grid, quadratic_field(grid, np.eye(3), np.zeros(3)).values)
-        staged = psi_zero_spec(m=9)
+        staged = replace(psi_zero_spec(m=9), schedule=[0.5, 1.0])
         callers = {"eigh": [], "eigvalsh": [], "diagnostics": []}
 
         def counted(owner, name):
@@ -579,9 +579,46 @@ class TestContinuation:
 
     def test_recovers_paraboloid_from_full_path(self):
         spec, u_star = paraboloid_spec(m=9)
-        sol, rep = continuation_solve(replace(spec, schedule=[0.5, 1.0]))
-        assert rep.converged and len(rep.continuation) == 2
-        assert np.abs(sol.values - u_star.values).max() < 1e-9
+        # a schedule that stops short of 1 is completed by the stage t = 1
+        for schedule in ([0.5, 1.0], [0.5]):
+            sol, rep = continuation_solve(replace(spec, schedule=schedule))
+            assert rep.converged and [s.t for s in rep.continuation] == [0.5, 1.0]
+            assert np.abs(sol.values - u_star.values).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "case", ["psi=0.1", "psi=1000", "phi=10", "quotient-psi=8r^2", "psi-zero-beta=1e-3", "psi-zero-beta=100"]
+    )
+    def test_target_data_solve_in_one_stage(self, case):
+        """Damped Newton from the paraboloid start solves these at t = 1, so no stage is inserted."""
+        base, _ = paraboloid_spec(m=9)
+        grid = base.grid
+        r2 = ((grid.points() - grid.center) ** 2).sum(axis=1).reshape(grid.shape)
+        spec = {
+            "psi=0.1": lambda: replace(base, psi=ScalarField.constant(grid, 0.1)),
+            "psi=1000": lambda: replace(base, psi=ScalarField.constant(grid, 1000.0)),
+            "phi=10": lambda: replace(base, phi=ScalarField.constant(grid, 10.0)),
+            "quotient-psi=8r^2": lambda: replace(
+                manufactured_problem(paraboloid(grid.center), OperatorSpec(3, 2, 1), 1.0, grid)[0],
+                psi=ScalarField(grid, 8.0 * r2),
+            ),
+            "psi-zero-beta=1e-3": lambda: replace(psi_zero_spec(m=9), beta=1e-3),
+            "psi-zero-beta=100": lambda: replace(psi_zero_spec(m=9), beta=100.0),
+        }[case]()
+        sol, rep = continuation_solve(spec)
+        assert rep.converged and [s.t for s in rep.continuation] == [1.0]
+        assert rep.final_margin > 0 and all(r.min_margin > 0 for r in rep.iterations)
+
+    def test_armijo_rejection_keeps_the_residual_falling(self):
+        """Boundary data far from the paraboloid's: one full step stays admissible but fails the Armijo test."""
+        spec, _ = paraboloid_spec(m=17)
+        x = spec.grid.points()
+        phi = ScalarField(spec.grid, (np.sin(3.0 * x[:, 0]) + np.cos(2.0 * x[:, 1])).reshape(spec.grid.shape))
+        sol, rep = continuation_solve(replace(spec, phi=phi))
+        assert rep.converged
+        assert any(r.armijo_rejections >= 1 for r in rep.iterations)
+        assert all(r.trials == 1 + r.cone_rejections + r.armijo_rejections for r in rep.iterations)
+        norms = [r.residual_norm for r in rep.iterations]
+        assert all(b < a for a, b in zip(norms, norms[1:]))
 
     def test_psi_with_zero_completes_with_positive_margins(self):
         spec0, u0 = paraboloid_spec(m=9)
