@@ -43,7 +43,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dlartg
 
 from .grid import BoxGrid, ScalarField
-from .operator import _eta, _grad_from_tensors, _value_from_sigmas, newton_tensors
+from .operator import OperatorSpec, _eta, _grad_from_tensors, _value_from_sigmas, newton_tensors
 from .operator import grad_at_eta  # noqa: F401  (unused here, like sigma_all; bench/tracing.py patches both)
 from .problem import ContinuationError, NonconvergenceError  # noqa: F401  (defined in problem, which loads no scipy)
 from .problem import ProblemSpec, manufactured_problem, paraboloid
@@ -360,27 +360,27 @@ def hessian_at(u: ScalarField, node: tuple[int, ...]) -> np.ndarray:
     return _interior_hessians(_hessian_operator(grid), u.values)[tuple(i - 1 for i in node)]
 
 
-def _eta_tensors(values: np.ndarray, spec: ProblemSpec, ops: _GridOperators):
+def _eta_tensors(values: np.ndarray, op: OperatorSpec, ops: _GridOperators):
     """newton_tensors of eta = trace(H) I - H at all interior nodes, up to the cone order: (sigma table, tensors)."""
-    return newton_tensors(_eta(_interior_hessians(ops.hess, values)), spec.op.cone_order)
+    return newton_tensors(_eta(_interior_hessians(ops.hess, values)), op.cone_order)
 
 
-def _evaluate(values: np.ndarray, sig, spec: ProblemSpec, ops: _GridOperators, what: str):
+def _evaluate(values: np.ndarray, sig, op: OperatorSpec, psi_t, phi, ops: _GridOperators, what: str):
     """(least cone margin, residual) at values, whose interior eta tensors are sig = _eta_tensors(values).
 
-    Raises ConeError at the worst node, in full-grid indices, unless every
-    interior node is strictly admissible.
+    psi_t is the normalized right-hand side and phi the boundary data, both
+    full-grid arrays.  Raises ConeError at the worst node, in full-grid
+    indices, unless every interior node is strictly admissible.
     """
     margin = _check_in_gamma(sig[0], what, origin=1)
-    grid = spec.grid
-    out = (ops.robin @ values.ravel()).reshape(grid.shape) - spec.phi.values
-    core = grid.interior()
-    out[core] = _value_from_sigmas(sig[0], spec.op) - spec.psi_tilde()[core]
+    out = (ops.robin @ values.ravel()).reshape(values.shape) - phi
+    core = ops.grid.interior()
+    out[core] = _value_from_sigmas(sig[0], op) - psi_t[core]
     return margin, out
 
 
 def _max_admissible_step(
-    values: np.ndarray, delta: np.ndarray, spec: ProblemSpec, ops: _GridOperators, alpha_out: float, e_in, e_out
+    values: np.ndarray, delta: np.ndarray, op: OperatorSpec, ops: _GridOperators, alpha_out: float, e_in, e_out
 ) -> float:
     """Largest alpha in [0, alpha_out] with values + alpha * delta strictly admissible, to float resolution.
 
@@ -393,9 +393,9 @@ def _max_admissible_step(
     form an interval from 0; bisecting on that predicate finds its end without
     evaluating another iterate.
     """
-    c = spec.op.cone_order
+    c = op.cone_order
     s = np.arange(c + 1) / c  # alpha / alpha_out
-    inner = [_eta_tensors(values + (alpha_out * x) * delta, spec, ops)[0] for x in s[1:-1]]
+    inner = [_eta_tensors(values + (alpha_out * x) * delta, op, ops)[0] for x in s[1:-1]]
     e = np.stack([table[1:] for table in (e_in, *inner, e_out)])
     coef = np.empty_like(e)  # coef[q] multiplies s**q
     coef[0] = e[0]
@@ -425,14 +425,15 @@ def _max_admissible_step(
 def residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """Equation residual at every node; raises ConeError on any inadmissible node."""
     ops = _GridOperators(spec.grid, spec.beta)
-    _, res = _evaluate(u.values, _eta_tensors(u.values, spec, ops), spec, ops, "iterate")
+    sig = _eta_tensors(u.values, spec.op, ops)
+    _, res = _evaluate(u.values, sig, spec.op, spec.psi_tilde(), spec.phi.values, ops, "iterate")
     return ScalarField(spec.grid, res)
 
 
 def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
     """Sparse derivative of the residual with respect to every nodal value; raises ConeError off the cone."""
     ops = _GridOperators(spec.grid, spec.beta)
-    sig = _eta_tensors(u.values, spec, ops)
+    sig = _eta_tensors(u.values, spec.op, ops)
     _check_in_gamma(sig[0], "iterate", origin=1)
     return ops.jacobian(_grad_from_tensors(*sig, spec.op))
 
@@ -579,56 +580,59 @@ def newton_solve(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None 
     tolerance, or a line-search step below _MIN_STEP, raises
     NonconvergenceError.
     """
+    if u0.grid != spec.grid:
+        raise ValueError("initial guess lives on a different grid")
     ops = _GridOperators(spec.grid, spec.beta)
-    solution, report = _newton(u0, spec, opts, ops)
+    report = SolveReport()
+    u = _newton(u0.values.copy(), spec.op, spec.psi_tilde(), spec.phi.values, opts, ops, report)
+    solution = ScalarField(spec.grid, u)
     report.diagnostics = diagnostics(solution, ops=ops)
     return solution, report
 
 
-def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops: _GridOperators):
-    """newton_solve without the diagnostics, which continuation_solve needs for its final solution only.
+def _newton(u, op: OperatorSpec, psi_t, phi, opts: NewtonOptions | None, ops: _GridOperators, report: SolveReport):
+    """newton_solve's iteration on arrays: from the values u, with normalized data psi_t and phi on ops' grid.
 
-    ``ops`` must be built from spec's grid and beta; both callers build it so.
+    Appends one IterationRecord per accepted step to report and keeps its
+    converged, residual_norm, final_margin and preconditioner_factor_s those
+    of the current iterate, so a raised NonconvergenceError carries report
+    as it stood.  Returns the last iterate's values; report.converged says
+    whether it met the tolerance.
     """
     opts = opts or NewtonOptions()
-    grid = spec.grid
-    if u0.grid != grid:
-        raise ValueError("initial guess lives on a different grid")
-    psi_t = spec.psi_tilde()
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
-
-    u = u0.values.copy()
-    sig = _eta_tensors(u, spec, ops)
-    mmin, res = _evaluate(u, sig, spec, ops, "initial guess")
+    sig = _eta_tensors(u, op, ops)
+    mmin, res = _evaluate(u, sig, op, psi_t, phi, ops, "initial guess")
     rnorm = float(np.abs(res).max())
-    report = SolveReport()
-
-    def failure(reason):
-        report.residual_norm, report.final_margin, report.preconditioner_factor_s = rnorm, mmin, ops.factor_s
-        return NonconvergenceError(f"{reason} at residual {rnorm:.3e}", report)
-
-    for _ in range(opts.max_iter):
-        if rnorm <= tol:
-            break
-        delta, krylov = _newton_direction(ops.jacobian(_grad_from_tensors(*sig, spec.op)), -res.ravel(), ops)
+    steps = 0
+    while True:
+        report.converged = bool(rnorm <= tol)
+        report.residual_norm, report.final_margin = rnorm, mmin
+        if report.converged or steps >= opts.max_iter:
+            return u
+        steps += 1
+        delta, krylov = _newton_direction(ops.jacobian(_grad_from_tensors(*sig, op)), -res.ravel(), ops)
+        report.preconditioner_factor_s = ops.factor_s
         if delta is None:
-            raise failure(f"GMRES missed its tolerance {_GMRES_RTOL:g} in {krylov} iterations")
-        delta = delta.reshape(grid.shape)
+            reason = f"GMRES missed its tolerance {_GMRES_RTOL:g} in {krylov} iterations"
+            raise NonconvergenceError(f"{reason} at residual {rnorm:.3e}", report)
+        delta = delta.reshape(u.shape)
 
         alpha, max_step = 1.0, None
         trials = cone_rejections = armijo_rejections = 0
         while True:
             if alpha < _MIN_STEP:
-                raise failure(f"line search underflow (step < {_MIN_STEP:g})")
+                reason = f"line search underflow (step < {_MIN_STEP:g})"
+                raise NonconvergenceError(f"{reason} at residual {rnorm:.3e}", report)
             trials += 1
             trial = u + alpha * delta
-            sig_t = _eta_tensors(trial, spec, ops)
+            sig_t = _eta_tensors(trial, op, ops)
             try:
-                mmin_t, res_t = _evaluate(trial, sig_t, spec, ops, "trial iterate")
+                mmin_t, res_t = _evaluate(trial, sig_t, op, psi_t, phi, ops, "trial iterate")
             except ConeError:
                 cone_rejections += 1
                 if max_step is None:
-                    max_step = _max_admissible_step(u, delta, spec, ops, alpha, sig[0], sig_t[0])
+                    max_step = _max_admissible_step(u, delta, op, ops, alpha, sig[0], sig_t[0])
                     alpha = _FRACTION_TO_BOUNDARY * max_step
                     continue
             else:
@@ -642,75 +646,54 @@ def _newton(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None, ops:
             IterationRecord(rnorm, alpha, mmin, krylov, trials, cone_rejections, armijo_rejections, max_step)
         )
 
-    report.converged = bool(rnorm <= tol)
-    report.residual_norm, report.final_margin, report.preconditioner_factor_s = rnorm, mmin, ops.factor_s
-    return ScalarField(grid, u), report
-
 
 def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
     """Continuation from the exactly solvable paraboloid data to the target.
 
     The start u0 = |x - center|^2 / 2 solves the discrete problem with its own
-    data (psi0, phi0) exactly.  Stage t blends the normalized data,
-    psi_t = ((1-t) psi0_tilde + t psi_tilde) ** degree and
+    data (psi0, phi0) exactly.  Stage t runs Newton on the blend of the
+    normalized data, psi_t = (1-t) psi0_tilde + t psi_tilde and
     phi_t = (1-t) phi0 + t phi, warm-starting each stage from the previous
     solution.  The stages are the schedule's entries below 1, then t = 1, so
     a problem without a schedule starts at the target data.  A nonconverged
-    stage halves the step from the last converged t, down to 1/256.  The
-    report's residual_norm and final_margin are those of the last stage
-    attempted, converged or not.
+    stage halves the step from the last converged t, down to 1/256.  Every
+    stage appends its Newton steps to the one report, whose residual_norm
+    and final_margin are those of the last stage attempted, converged or not.
     """
     grid, op = spec.grid, spec.op
     spec0, u_start = manufactured_problem(paraboloid(grid.center), op, spec.beta, grid)
-    deg = op.degree
-    psi0_t = spec0.psi_tilde()
-    psi1_t = spec.psi_tilde()
-    phi0 = spec0.phi.values
-    phi1 = spec.phi.values
+    psi0_t, psi1_t = spec0.psi_tilde(), spec.psi_tilde()
+    phi0, phi1 = spec0.phi.values, spec.phi.values
     targets = [t for t in spec.schedule or () if t < 1.0] + [1.0]
 
     report = SolveReport()
     ops = _GridOperators(grid, spec.beta)
-    u = u_start.values.copy()
+    u = u_start.values
     t_prev = 0.0
     i = 0
     while i < len(targets):
         t = targets[i]
-        blend = (1.0 - t) * psi0_t + t * psi1_t
-        stage_spec = ProblemSpec(
-            grid,
-            op,
-            spec.beta,
-            ScalarField(grid, blend**deg),
-            ScalarField(grid, (1.0 - t) * phi0 + t * phi1),
-        )
+        before = len(report.iterations)
         try:
-            sol, stage_rep = _newton(ScalarField(grid, u), stage_spec, opts, ops)
-            ok = stage_rep.converged
-            steps, rnorm = len(stage_rep.iterations), stage_rep.residual_norm
-            reason = None if ok else f"no convergence in {steps} Newton steps at residual {rnorm:.3e}"
+            u_t = _newton(u, op, (1.0 - t) * psi0_t + t * psi1_t, (1.0 - t) * phi0 + t * phi1, opts, ops, report)
+            reason = None
         except NonconvergenceError as exc:
-            sol, stage_rep, ok, reason = None, exc.report, False, str(exc)
-        report.continuation.append(StageRecord(t, ok, len(stage_rep.iterations), reason))
-        report.iterations.extend(stage_rep.iterations)
-        report.residual_norm = stage_rep.residual_norm
-        report.final_margin = stage_rep.final_margin
-        report.preconditioner_factor_s = ops.factor_s
-        if ok:
-            u = sol.values
-            t_prev = t
-            i += 1
+            reason = str(exc)
+        steps = len(report.iterations) - before
+        if reason is None and not report.converged:
+            reason = f"no convergence in {steps} Newton steps at residual {report.residual_norm:.3e}"
+        report.continuation.append(StageRecord(t, report.converged, steps, reason))
+        if report.converged:
+            u, t_prev, i = u_t, t, i + 1
         else:
             step = 0.5 * (t - t_prev)
             if step < _MIN_CONTINUATION_STEP:
-                report.converged = False
                 raise ContinuationError(
                     f"continuation stalled at t = {t_prev:g} (minimum step {_MIN_CONTINUATION_STEP:g} reached)",
                     report,
                 )
             targets.insert(i, t_prev + step)
 
-    report.converged = True
     solution = ScalarField(grid, u)
     report.diagnostics = diagnostics(solution, ops=ops)
     return solution, report

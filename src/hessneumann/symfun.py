@@ -152,11 +152,7 @@ def sigma_grad(lam, k: int) -> np.ndarray:
 
 def in_gamma(lam, k: int):
     """True iff sigma_i > 0 strictly for all 1 <= i <= k (the open cone)."""
-    vals = _as_values(lam)
-    n = vals.shape[-1]
-    if not 1 <= k <= n:
-        raise ValueError(f"cone index k={k} outside [1, {n}]")
-    return _by_columns(lambda vt: (_sigma_rows(vt, k)[1:] > 0.0).all(axis=0), vals)
+    return cone_margin(lam, k) > 0.0
 
 
 def cone_margin(lam, k: int):

@@ -229,6 +229,8 @@ class TestSolve:
         assert report["residual_norm"] > 0 and report["final_margin"] > 0
         assert report["preconditioner_factor_s"] > 0
         assert all(stage["reason"].startswith("no convergence in 1 Newton steps") for stage in report["continuation"])
+        assert sum(stage["iterations"] for stage in report["continuation"]) == len(report["iterations"])
+        assert report["continuation"][-1]["reason"].endswith(f"at residual {report['residual_norm']:.3e}")
 
     def test_report_names_why_each_stage_failed(self, tmp_path):
         # phi = 1e300 overflows the 2-norm of every stage's Newton right-hand side
@@ -236,9 +238,11 @@ class TestSolve:
         doc["phi"] = {"kind": "expression", "expr": "1e300"}
         prob, out = write_problem(tmp_path, doc), tmp_path / "out"
         assert main(["solve", "--problem", str(prob), "--out", str(out)]) == 1
-        stages = strict_json(out / "report.json")["continuation"]
+        report = strict_json(out / "report.json")
+        stages = report["continuation"]
         assert stages and all(not stage["converged"] for stage in stages)
         assert all(stage["reason"].startswith("GMRES missed its tolerance 1e-10") for stage in stages)
+        assert sum(stage["iterations"] for stage in stages) == len(report["iterations"])
 
     def test_converged_stages_give_no_reason(self, tmp_path):
         prob, out = write_problem(tmp_path, small_paraboloid_doc()), tmp_path / "out"
@@ -364,6 +368,8 @@ class TestSolve:
             ("n", 3.5),
             ("k", 2.5),
             ("l", 1.5),
+            ("psi", {"kind": "constant"}),
+            ("psi", {"kind": "expression"}),
         ],
     )
     def test_bad_problem_value_exits_2(self, tmp_path, capsys, key, value):

@@ -336,6 +336,18 @@ class TestMaclaurinRatio:
         with pytest.raises(ConeError):
             maclaurin_ratio([3.0, 3.0, -1.0], 2, 1)
 
+    @pytest.mark.parametrize("k,l", [(3, 1), (2, 2), (1, 0)])
+    def test_bad_orders_rejected(self, k, l):
+        with pytest.raises(ValueError) as info:
+            maclaurin_ratio([1.0, 2.0, 3.0], k, l)
+        assert str(info.value) == f"need 1 <= l < k <= n-1, got (k, l) = ({k}, {l})"
+
+    @pytest.mark.parametrize("p", [3, -1])
+    def test_bad_deleted_index_rejected(self, p):
+        with pytest.raises(ValueError) as info:
+            maclaurin_ratio([1.0, 2.0, 3.0], 2, 1, p)
+        assert str(info.value) == f"index p={p} outside [0, 3)"
+
 
 class TestTraceBound:
     def test_bound_value(self):

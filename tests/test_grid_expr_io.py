@@ -13,6 +13,7 @@ from hessneumann.grid import BoxGrid, ScalarField
 from hessneumann.problem import (
     MANUFACTURED_CASES,
     ProblemFormatError,
+    ProblemSpec,
     build_case,
     load_problem,
     manufactured_problem,
@@ -39,6 +40,11 @@ class TestBoxGrid:
             BoxGrid((0, 0), (1, 1), 7)  # too small
         with pytest.raises(ValueError):
             BoxGrid((0, 0), (0, 1), 9)  # empty axis
+
+    def test_lo_and_hi_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError) as info:
+            BoxGrid((0, 0), (1, 1, 1), 9)
+        assert str(info.value) == "lo and hi must have the same length"
 
     def test_face_count(self):
         g = BoxGrid((0, 0), (1, 1), 9)
@@ -172,6 +178,13 @@ class TestManufactured:
         with pytest.raises(ConeError) as info:
             manufactured_problem(affine, OperatorSpec(2, 1), 1.0, g)
         assert info.value.node is not None
+
+    def test_operator_of_another_dimension_rejected(self):
+        g = BoxGrid((0, 0), (1, 1), 9)
+        one = ScalarField.constant(g, 1.0)
+        with pytest.raises(ValueError) as info:
+            ProblemSpec(g, OperatorSpec(3, 2), 1.0, one, one)
+        assert str(info.value) == "operator dimension n=3 does not match grid n=2"
 
     @pytest.mark.parametrize("case", [*MANUFACTURED_CASES, "quotient"])
     def test_psi_matches_the_eigenvalue_sigma_table(self, case):
@@ -444,6 +457,22 @@ class TestFieldIO:
         n, m, values = read_field_binary(path)
         assert (n, m) == (2, 9)
         np.testing.assert_array_equal(values, f.values)
+
+    def test_bad_magic_rejected(self, tmp_path):
+        path = tmp_path / "field.bin"
+        write_field_binary(path, ScalarField.constant(BoxGrid((0, 0), (1, 1), 9), 1.0))
+        path.write_bytes(b"HNF0" + path.read_bytes()[4:])
+        with pytest.raises(ValueError) as info:
+            read_field_binary(path)
+        assert str(info.value) == "bad field magic b'HNF0'"
+
+    def test_short_payload_rejected(self, tmp_path):
+        path = tmp_path / "field.bin"
+        write_field_binary(path, ScalarField.constant(BoxGrid((0, 0), (1, 1), 9), 1.0))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError) as info:
+            read_field_binary(path)
+        assert str(info.value) == "field payload has 80 values, expected 81"
 
     def test_solution_csv(self, tmp_path):
         g = BoxGrid((0, 0), (1, 1), 9)

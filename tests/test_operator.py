@@ -126,6 +126,18 @@ class TestEtaMatrix:
         with pytest.raises(ValueError):
             eta_matrix(bad)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (3,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError) as info:
+            eta_matrix(np.ones(shape))
+        assert str(info.value) == "expected one or more square matrices of size >= 2"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError) as info:
+            eta_matrix(np.array([[1.0, bad], [bad, 1.0]]))
+        assert str(info.value) == "matrix entries must be finite"
+
 
 def _eta_batch(n, c, case, rng, count=200):
     """Symmetric eta-matrices in the order-c cone with eigenvectors in general position."""
@@ -164,6 +176,11 @@ class TestOperatorSpec:
             OperatorSpec(3, 3)
         with pytest.raises(ValueError):
             OperatorSpec(3, 0)
+
+    def test_n_below_two_rejected(self):
+        with pytest.raises(ValueError) as info:
+            OperatorSpec(1, 1)
+        assert str(info.value) == "n must be at least 2"
 
     def test_l_zero_is_pure(self):
         spec = OperatorSpec(4, 2, 0)

@@ -442,11 +442,11 @@ class TestMaxAdmissibleStep:
         got = solver._max_admissible_step(
             values,
             delta,
-            spec,
+            spec.op,
             ops,
             alpha_out,
-            solver._eta_tensors(values, spec, ops)[0],
-            solver._eta_tensors(values + alpha_out * delta, spec, ops)[0],
+            solver._eta_tensors(values, spec.op, ops)[0],
+            solver._eta_tensors(values + alpha_out * delta, spec.op, ops)[0],
         )
         assert 0.0 < want < alpha_out
         assert abs(got - want) <= 1e-8 * want
@@ -496,6 +496,13 @@ class TestNewton:
         spec, u_star = paraboloid_spec(m=9)
         with pytest.raises(ConeError):
             newton_solve(ScalarField(spec.grid, -u_star.values), spec)
+
+    def test_start_on_another_grid_rejected(self):
+        spec, _ = paraboloid_spec(m=9)
+        _, other = paraboloid_spec(m=11)
+        with pytest.raises(ValueError) as info:
+            newton_solve(other, spec)
+        assert str(info.value) == "initial guess lives on a different grid"
 
     def test_monotone_residual_and_positive_margins(self):
         spec, u_star = build_case("perturbed-paraboloid", 9)

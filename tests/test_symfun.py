@@ -145,6 +145,12 @@ class TestDeleted:
         with pytest.raises(ValueError):
             sigma_excl2([1, 2, 3], 2, 1, 1)
 
+    @pytest.mark.parametrize("i,j", [(0, 3), (-1, 1)])
+    def test_two_index_variant_out_of_range(self, i, j):
+        with pytest.raises(ValueError) as info:
+            sigma_excl2([1, 2, 3], 2, i, j)
+        assert str(info.value) == f"indices ({i}, {j}) outside [0, 3)"
+
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             sigma_excl([1, 2, 3], 2, 3)
@@ -177,6 +183,12 @@ class TestGradient:
 
     def test_example(self):
         np.testing.assert_allclose(sigma_grad([1, 2, 3], 2), [5.0, 4.0, 3.0])
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_order_out_of_range(self, k):
+        with pytest.raises(ValueError) as info:
+            sigma_grad([1, 2, 3], k)
+        assert str(info.value) == f"order k={k} outside [1, 3]"
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -216,6 +228,13 @@ class TestCone:
     def test_margin_signed(self):
         assert cone_margin([1, 1, 1], 2) == 3.0
         assert cone_margin([3, 1, -1], 2) == -1.0
+
+    @pytest.mark.parametrize("fn", [in_gamma, cone_margin])
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_cone_index_out_of_range(self, fn, k):
+        with pytest.raises(ValueError) as info:
+            fn([1, 2, 3], k)
+        assert str(info.value) == f"cone index k={k} outside [1, 3]"
 
     def test_boundary_is_excluded(self):
         # sigma_2((1, 1, -0.5)) = 1 - 0.5 - 0.5 = 0 exactly
