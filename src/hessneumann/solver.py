@@ -21,14 +21,14 @@ operator.newton_tensors, as does manufactured_problem for the start data;
 order on axis 0, and every cone check is symfun._check_in_gamma, which names
 the worst node in full-grid indices.
 
-Each Newton step solves its Jacobian system by GMRES, preconditioned by a
-direct solve of laplace_robin: eliminating the boundary rows leaves a
+Each Newton step solves its Jacobian system by GMRES, right-preconditioned
+by a direct solve of laplace_robin: eliminating the boundary rows leaves a
 Kronecker sum of 1-D operators on the interior, which one tridiagonal
 eigendecomposition per axis and grid diagonalizes (_laplace_robin_solve).
-The GMRES loop is here, scipy's algorithm with its vector arithmetic in
-np.einsum, which calls no BLAS and so wakes no OpenBLAS thread (see _dot).
-It stops on scipy's relative residual test or, where float64 cannot meet
-that, on a backward error of 16 eps (see _newton_direction).
+The GMRES loop is here, with its vector arithmetic in np.einsum, which calls
+no BLAS and so wakes no OpenBLAS thread (see _dot).  Right preconditioning
+leaves it minimizing the true residual, so one test stops it: |b - J x| <=
+1e-10 |b| or, where float64 cannot meet that, a backward error of 16 eps.
 """
 
 from __future__ import annotations
@@ -105,13 +105,15 @@ class IterationRecord:
     ``cone_rejections`` those that left the cone and ``armijo_rejections``
     those that failed the Armijo decrease.  ``max_step`` is the largest
     admissible step computed at the first cone rejection, None if none
-    occurred.
+    occurred.  ``krylov_stop`` names the test that stopped GMRES, "rtol" or
+    "backward" (see _newton_direction).
     """
 
     residual_norm: float
     step: float
     min_margin: float
     krylov_iterations: int
+    krylov_stop: str
     trials: int
     cone_rejections: int
     armijo_rejections: int
@@ -463,15 +465,17 @@ def _norm(a: np.ndarray) -> np.float64:
 
 
 def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperators):
-    """Solve mat @ x = rhs by preconditioned GMRES; returns (x, Krylov iterations), x None if GMRES missed _GMRES_RTOL.
+    """Solve mat @ x = rhs by right-preconditioned GMRES; returns (x, Krylov iterations, stopping test).
 
-    The algorithm of scipy 1.17's real gmres from x0 = 0 (Saad & Schultz
-    1986): left preconditioning, restarts of _GMRES_RESTART iterations, at
-    most _GMRES_MAXITER of them, modified Gram-Schmidt, Givens rotations from
-    LAPACK's dlartg, and the gh-8400 control of the inner tolerance ptol on
-    the preconditioned residual.  It stops on the true residual r = rhs -
-    mat @ x, once |r| <= _GMRES_RTOL |rhs| or, tested only when that fails,
-    |r| <= 16 eps (| |mat| |x| | + |rhs|), all 2-norms.
+    Restarted GMRES (Saad & Schultz 1986) from x0 = 0 on mat P^-1, P^-1 the
+    laplace_robin solve, and x = P^-1 y (Saad 2003, 9.3.2): restarts of
+    _GMRES_RESTART iterations, at most _GMRES_MAXITER of them, modified
+    Gram-Schmidt, Givens rotations from LAPACK's dlartg.  Each cycle starts
+    from the true residual r = rhs - mat @ x, whose 2-norm the rotations then
+    track, so the inner loop stops on |r| <= _GMRES_RTOL |rhs| itself.  After
+    each cycle the recomputed r returns x with "rtol" if it meets that test,
+    or "backward" if |r| <= 16 eps (| |mat| |x| | + |rhs|), all 2-norms; the
+    result is (None, iterations, None) if neither holds by the last cycle.
 
     The second test is a normwise backward error of at most 16 eps: x then
     solves exactly a system whose matrix and right-hand side differ from mat
@@ -487,35 +491,32 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
     eps = np.finfo(float).eps
     iterations = 0
     # With data at the edge of float64 (|phi| near 1e154, or beta far from 1)
-    # the 2-norms of rhs and of its preconditioned image overflow.  An infinite
-    # |rhs| makes the tolerance infinite, which any x would meet, so it is a
-    # miss; otherwise the step is no descent direction, the line search
-    # underflows and the caller reports a NonconvergenceError, so numpy need
-    # not warn as well.  Every norm is a numpy scalar, so a zero or infinite
-    # one divides to inf or nan.
+    # the 2-norms of rhs and of the residual overflow.  An infinite |rhs|
+    # makes the tolerance infinite, which any x would meet, so it is a miss;
+    # otherwise the step is no descent direction, the line search underflows
+    # and the caller reports a NonconvergenceError, so numpy need not warn as
+    # well.  Every norm is a numpy scalar, so a zero or infinite one divides
+    # to inf or nan.
     with np.errstate(all="ignore"):
         bnrm2 = _norm(rhs)
         if bnrm2 == 0:
-            return rhs, 0
+            return rhs, 0, "rtol"
         if not np.isfinite(bnrm2):
-            return None, 0
+            return None, 0, None
         atol = _GMRES_RTOL * bnrm2
         restart = min(_GMRES_RESTART, rhs.size)
         x = np.zeros_like(rhs)
-        z = psolve(rhs)  # the preconditioned residual at x0 = 0
-        ptol_max_factor = 1.0
-        ptol = _norm(z) * min(ptol_max_factor, atol / bnrm2)
+        r, rnorm = rhs, bnrm2
         v = np.empty((restart + 1, rhs.size))
         h = np.zeros((restart, restart + 1))  # h[col] is column col of the Hessenberg matrix
         givens = np.zeros((restart, 2))
         for _ in range(_GMRES_MAXITER):
-            znrm = _norm(z)
-            np.multiply(z, 1 / znrm, out=v[0])
+            np.multiply(r, 1 / rnorm, out=v[0])
             s_rhs = np.zeros(restart + 1)  # right-hand side of the rotated least-squares problem
-            s_rhs[0] = znrm
+            s_rhs[0] = rnorm
             breakdown = False
             for col in range(restart):
-                w = psolve(mat @ v[col])
+                w = mat @ psolve(v[col])
                 h0 = _norm(w)
                 for k in range(col + 1):
                     h[col, k] = _dot(v[k], w)
@@ -534,9 +535,8 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
                 givens[col] = c, s
                 s_rhs[col + 1] = -s * s_rhs[col]
                 s_rhs[col] *= c
-                presid = abs(s_rhs[col + 1])
                 iterations += 1
-                if presid <= ptol or breakdown:
+                if abs(s_rhs[col + 1]) <= atol or breakdown:
                     break
             if h[col, col] == 0:
                 s_rhs[col] = 0
@@ -545,19 +545,16 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
                 if y[k] != 0:
                     y[k] /= h[k, k]
                     y[:k] -= y[k] * h[k, :k]
-            x += np.einsum("i,ij", y, v[: col + 1])  # no BLAS gemv either
+            x += psolve(np.einsum("i,ij", y, v[: col + 1]))  # no BLAS gemv either
             r = rhs - mat @ x
             rnorm = _norm(r)
-            ok = rnorm <= atol or rnorm <= _GMRES_BACKWARD * (_norm(abs(mat) @ np.abs(x)) + bnrm2)
-            if ok or breakdown:
+            if rnorm <= atol:
+                return x, iterations, "rtol"
+            if rnorm <= _GMRES_BACKWARD * (_norm(abs(mat) @ np.abs(x)) + bnrm2):
+                return x, iterations, "backward"
+            if breakdown:
                 break
-            if presid <= ptol:
-                ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
-            else:
-                ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-            ptol = presid * min(ptol_max_factor, atol / rnorm)
-            z = psolve(r)
-    return (x if ok else None), iterations
+    return None, iterations, None
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +565,9 @@ def _newton_direction(mat: sp.csr_matrix, rhs: np.ndarray, precond: _GridOperato
 def newton_solve(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None = None):
     """Damped Newton from an admissible start.
 
-    Solves J delta = -R by GMRES preconditioned with one direct solver of
-    laplace_robin(grid, beta), and halves the step until the trial iterate is
-    strictly admissible at every interior node and the residual sup norm
+    Solves J delta = -R by GMRES right-preconditioned with one direct solver
+    of laplace_robin(grid, beta), and halves the step until the trial iterate
+    is strictly admissible at every interior node and the residual sup norm
     satisfies the Armijo decrease.  The first trial that leaves the cone is
     followed by one at _FRACTION_TO_BOUNDARY times the largest admissible
     step, and halving resumes from there.  No iterate is eigendecomposed:
@@ -611,7 +608,7 @@ def _newton(u, op: OperatorSpec, psi_t, phi, opts: NewtonOptions | None, ops: _G
         if report.converged or steps >= opts.max_iter:
             return u
         steps += 1
-        delta, krylov = _newton_direction(ops.jacobian(_grad_from_tensors(*sig, op)), -res.ravel(), ops)
+        delta, krylov, stop = _newton_direction(ops.jacobian(_grad_from_tensors(*sig, op)), -res.ravel(), ops)
         report.preconditioner_factor_s = ops.factor_s
         if delta is None:
             reason = f"GMRES missed its tolerance {_GMRES_RTOL:g} in {krylov} iterations"
@@ -643,7 +640,7 @@ def _newton(u, op: OperatorSpec, psi_t, phi, opts: NewtonOptions | None, ops: _G
             alpha *= 0.5
         u, sig, res, rnorm, mmin = trial, sig_t, res_t, rnorm_t, mmin_t
         report.iterations.append(
-            IterationRecord(rnorm, alpha, mmin, krylov, trials, cone_rejections, armijo_rejections, max_step)
+            IterationRecord(rnorm, alpha, mmin, krylov, stop, trials, cone_rejections, armijo_rejections, max_step)
         )
 
 

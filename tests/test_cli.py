@@ -182,7 +182,8 @@ class TestSolve:
         assert np.abs(values - exact).max() < 1e-9
 
     def test_small_beta_converges(self, tmp_path):
-        # at beta = 1e-3 GMRES cannot meet its 1e-10 relative test in float64; it stops on the backward error
+        # at beta = 1e-3 the first Newton step's GMRES cannot meet its 1e-10 relative test
+        # in float64; it stops on the backward error (the later steps' on 1e-10)
         doc = json.loads((REPO / "problems" / "paraboloid-17.json").read_text(encoding="utf-8"))
         doc["beta"] = 1e-3
         out = tmp_path / "out"

@@ -300,6 +300,21 @@ def _other_threads_cpu_s():
     return total / os.sysconf("SC_CLK_TCK")
 
 
+def _recorded_directions(monkeypatch):
+    """Wrap _newton_direction; each call appends its system, result and preconditioner application count."""
+    calls, real = [], solver._newton_direction
+
+    def direction(mat, rhs, precond):
+        applied, psolve = [], precond.solver(mat.diagonal())
+        counting = SimpleNamespace(solver=lambda diag: lambda v: applied.append(1) or psolve(v))
+        x, iterations, stop = out = real(mat, rhs, counting)
+        calls.append(SimpleNamespace(mat=mat, rhs=rhs, x=x, iterations=iterations, stop=stop, applied=len(applied)))
+        return out
+
+    monkeypatch.setattr(solver, "_newton_direction", direction)
+    return calls
+
+
 class TestNewtonDirection:
     CASES = ["psi-zero-mid-continuation", "quotient"]
 
@@ -307,29 +322,41 @@ class TestNewtonDirection:
     def test_matches_direct_solve(self, case):
         mat, rhs, ops = _direction_case(case)
         want = spla.splu(mat.tocsc()).solve(rhs)
-        got, iterations = solver._newton_direction(mat, rhs, ops)
+        got, iterations, _ = solver._newton_direction(mat, rhs, ops)
         assert got is not None and iterations > 1
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
     @pytest.mark.parametrize("case", CASES)
     def test_same_iterations_and_solution_as_scipy_gmres(self, case):
+        # right preconditioning is scipy's unpreconditioned GMRES on mat P^-1, mapped back by x = P^-1 y
         mat, rhs, ops = _direction_case(case)
-        got, iterations = solver._newton_direction(mat, rhs, ops)
+        got, iterations, _ = solver._newton_direction(mat, rhs, ops)
         counted = []
-        pinv = spla.LinearOperator(mat.shape, matvec=ops.solver(mat.diagonal()), dtype=float)
-        want, info = spla.gmres(
-            mat,
+        psolve = ops.solver(mat.diagonal())
+        right = spla.LinearOperator(mat.shape, matvec=lambda v: mat @ psolve(v), dtype=float)
+        y, info = spla.gmres(
+            right,
             rhs,
             rtol=solver._GMRES_RTOL,
             atol=0.0,
             restart=solver._GMRES_RESTART,
             maxiter=solver._GMRES_MAXITER,
-            M=pinv,
             callback=counted.append,
             callback_type="pr_norm",
         )
+        want = psolve(y)
         assert info == 0 and iterations == len(counted)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_restarts_converge_from_the_true_residual(self, monkeypatch):
+        # cycles of two iterations: each restarts from the residual the last one left
+        mat, rhs, ops = _direction_case("quotient")
+        monkeypatch.setattr(solver, "_GMRES_RESTART", 2)
+        calls = _recorded_directions(monkeypatch)
+        got, iterations, stop = solver._newton_direction(mat, rhs, ops)
+        want = spla.splu(mat.tocsc()).solve(rhs)
+        assert stop == "rtol" and calls[0].applied - iterations == 3  # one application per iteration and one per cycle
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
     def test_gmres_miss_ends_the_solve(self, monkeypatch):
         # from a quadratic the preconditioner solves the first step exactly, in one
@@ -358,8 +385,8 @@ class TestNewtonDirection:
         zeros = SimpleNamespace(solver=lambda diag: lambda v: np.zeros_like(v))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, iterations = solver._newton_direction(mat, rhs, zeros)
-        assert got is None and iterations == solver._GMRES_RESTART * solver._GMRES_MAXITER
+            got, iterations, _ = solver._newton_direction(mat, rhs, zeros)
+        assert got is None and iterations == 1  # mat P^-1 v = 0 breaks the first Arnoldi step down
 
     def test_overflowing_right_hand_side_is_a_miss(self):
         # |rhs| = inf makes the tolerance 1e-10 |rhs| infinite, which any x would meet
@@ -367,7 +394,7 @@ class TestNewtonDirection:
         rhs = np.full(spec.grid.size, 1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, iterations = solver._newton_direction(jacobian(u0, spec), rhs, solver._GridOperators(spec.grid, spec.beta))
+            got, iterations, _ = solver._newton_direction(jacobian(u0, spec), rhs, solver._GridOperators(spec.grid, spec.beta))
         assert got is None and iterations == 0
 
     @pytest.mark.skipif(not os.access("/proc/self/task", os.R_OK), reason="needs /proc/self/task")
@@ -651,6 +678,27 @@ class TestContinuation:
         _, _, ref = read_field_binary(REPO / "bench" / "ref" / "psi-zero-17.bin")
         tol = 1e-10 * (1.0 + np.abs(spec.psi_tilde()).max())
         assert np.abs(sol.values - ref).max() <= tol
+
+    def test_psi_zero_17_directions_take_one_gmres_cycle(self, monkeypatch):
+        # the inner loop stops on the true residual's own test, so no cycle restarts
+        calls = _recorded_directions(monkeypatch)
+        _, rep = continuation_solve(load_problem(REPO / "problems" / "psi-zero-17.json"))
+        assert rep.converged and len(calls) == len(rep.iterations)
+        assert [c.applied for c in calls] == [c.iterations + 1 for c in calls]
+        assert [r.krylov_stop for r in rep.iterations] == ["rtol"] * len(calls)
+
+    def test_reports_which_test_stopped_gmres(self, monkeypatch):
+        # at beta = 1e-3 the first system's 1e-10 test lies below float64's floor
+        spec = replace(load_problem(REPO / "problems" / "paraboloid-17.json"), beta=1e-3)
+        calls = _recorded_directions(monkeypatch)
+        _, rep = continuation_solve(spec)
+        assert rep.converged
+        assert [it["krylov_stop"] for it in rep.to_dict()["iterations"]] == ["backward", "rtol", "rtol"]
+        for c in calls:
+            rnorm, bnorm = np.linalg.norm(c.rhs - c.mat @ c.x), np.linalg.norm(c.rhs)
+            backward = solver._GMRES_BACKWARD * (np.linalg.norm(abs(c.mat) @ np.abs(c.x)) + bnorm)
+            assert (rnorm <= solver._GMRES_RTOL * bnorm) == (c.stop == "rtol")
+            assert c.stop == "rtol" or rnorm <= backward
 
     def test_paraboloid_17_never_clips(self):
         spec = load_problem(REPO / "problems" / "paraboloid-17.json")
