@@ -48,7 +48,7 @@ import numpy as np
 
 from .operator import OperatorSpec, _eta_of_lambda, _grad_from_sigmas, _lam_grad, _lambda_of_eta, f_grad
 from .symfun import ConeError, _as_values, _by_columns, _check_in_gamma, _columns, _deleted_sigmas, _require_in_gamma
-from .symfun import _sigma_rows
+from .symfun import _largest_root, _sigma_rows
 from .symfun import sigma_all, sigma_grad  # noqa: F401  (unused here; bench/tracing.py patches these bindings)
 
 __all__ = [
@@ -73,8 +73,6 @@ __all__ = [
 _BLOCK = 4096  # samples per derived generator; fixed so chunking never changes the stream
 _BISECT_TOL = 1e-10
 _MARGIN = 1e-6  # sigma margin of the unscaled shifted draw; the scale multiplies afterwards
-_NEWTON_RTOL = 1e-12  # Newton stops once its step is at most this times 1 + |t|
-_NEWTON_ITER = 40
 # The bisection from [0, 2^J] ends on cells of 2^_CELL_EXP, the largest power of two
 # <= _BISECT_TOL; all its midpoints are exact in float64 while J - _CELL_EXP <= 53.
 _CELL_EXP = math.frexp(_BISECT_TOL)[1] - 1
@@ -161,58 +159,6 @@ def _shift_bisect(g: np.ndarray, k: int) -> np.ndarray:
     return np.where(done, 0.0, hi)
 
 
-def _largest_root(coef: np.ndarray, lead: float) -> np.ndarray:
-    """Largest real root of lead*t^d + coef[0]*t^(d-1) + ... + coef[d-1] per column of coef (d, m), by Newton.
-
-    The polynomial must be a real-rooted one minus a positive constant, so
-    that it is convex and increasing to the right of the real-rooted one's
-    largest root; Newton started there converges to the largest root, and
-    from above that root it descends monotonically.  The start is the
-    Laguerre-Samuelson bound mean + sqrt(d-1)*sd of the roots, read from the
-    top three coefficients (they are the real-rooted polynomial's for d >= 3,
-    and a quadratic minus a positive constant is real-rooted itself), plus
-    1e-3.  A root has converged once Newton's step is at most _NEWTON_RTOL
-    * (1 + |t|); one that has not after _NEWTON_ITER steps comes back NaN.
-    """
-    d, m = coef.shape
-    if d == 1:
-        return -coef[0] / lead
-    t = _samuelson_bound(coef, lead) + 1e-3
-    p, dp = np.empty(m), np.empty(m)
-    with np.errstate(all="ignore"):  # a row whose step is not finite never converges
-        for _ in range(_NEWTON_ITER):
-            np.multiply(t, lead, out=p)
-            p += coef[0]
-            dp.fill(lead)
-            for j in range(1, d):
-                dp *= t
-                dp += p
-                p *= t
-                p += coef[j]
-            step = np.divide(p, dp, out=p)
-            t -= step
-            np.abs(t, out=dp)
-            dp += 1.0
-            dp *= _NEWTON_RTOL
-            ok = np.abs(step, out=step) <= dp
-            if ok.all():
-                break
-    t[~ok] = np.nan
-    return t
-
-
-def _samuelson_bound(coef: np.ndarray, lead: float) -> np.ndarray:
-    """mean + sqrt(d-1)*sd of the roots of lead*t^d + coef[0]*t^(d-1) + coef[1]*t^(d-2) + ..., d >= 2.
-
-    It bounds the largest root when all d roots are real (Laguerre 1880;
-    Samuelson 1968).
-    """
-    d = coef.shape[0]
-    mean = coef[0] / (-d * lead)
-    var = (coef[0] / lead) ** 2 / d - 2.0 * coef[1] / (d * lead) - mean * mean
-    return mean + math.sqrt(d - 1) * np.sqrt(np.maximum(var, 0.0, out=var), out=var)
-
-
 def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
     """_shift_bisect(g, k) from a computed threshold and two predicate calls per row.
 
@@ -223,7 +169,7 @@ def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
     of sigma_k(g + t*ones) - 1e-6 = sum_j C(n-j, k-j) sigma_j(g) t^(k-j) - 1e-6
     (for n <= 6, sigma_k = 1e-6 forces every lower sigma_i above 5e-5 in the
     cone, by Maclaurin's inequalities).  So a row outside the cone gets t*
-    from _largest_root and keeps hi, the first grid point at or above t*
+    from symfun._largest_root and keeps hi, the first grid point at or above t*
     (at least c), when the real predicate is true at hi and false at hi - c.
     That this is the bisection's cell assumes the float64 predicate changes
     only once there: tested on all 19 streams of a default sweep plan at
@@ -250,8 +196,8 @@ def _shift_into_cone(g: np.ndarray, k: int) -> np.ndarray:
     coef = table[1:]  # sigma_1..sigma_k of g, left there by pred(0.0)
     coef *= np.array([float(math.comb(n - j, k - j)) for j in range(1, k + 1)])[:, None]
     coef[-1] -= _MARGIN
-    t = _largest_root(coef, float(math.comb(n, k)))
-    fast = outside & (t <= 2.0**_MAX_EXACT_J)  # NaN, where Newton did not converge, compares false
+    t, converged = _largest_root(coef, float(math.comb(n, k)))
+    fast = outside & converged & (t <= 2.0**_MAX_EXACT_J)
     np.copyto(t, 0.0, where=~fast)
     hi = np.ldexp(np.maximum(np.ceil(np.ldexp(t, -_CELL_EXP)), 1.0), _CELL_EXP)
     fast &= pred(hi)
@@ -345,8 +291,8 @@ def maclaurin_ratio(eta, k: int, l: int, p: int | None = None):
     All four polynomials are evaluated with entry ``p`` zeroed; ``p=None``
     returns the value for every deleted index along a new last axis.  Requires
     the spectrum in the order-(k+1) cone, which keeps every denominator
-    positive.  Lies in (0, maclaurin_bound(n, k, l)], the bound attained
-    exactly at uniform spectra.
+    positive.  Lies in (0, maclaurin_bound(n, k, l)]: the bound is attained at
+    uniform spectra, the infimum 0 approached at the order-(k+1) cone's boundary.
     """
     vals = _as_values(eta)
     n = vals.shape[-1]
@@ -596,7 +542,10 @@ def sweep_ellipticity_ratio(n, k, l=None, *, samples, seed, scale=1.0) -> SweepR
 
 
 def sweep_maclaurin_ratio(n, k, l, *, samples, seed, scale=1.0) -> SweepReport:
-    """Two-sided bound sweep of maclaurin_ratio over order-(k+1) cone samples."""
+    """Two-sided bound sweep of maclaurin_ratio over order-(k+1) cone samples; both ends are sharp.
+
+    So min_ratio, the least of min(alpha, bound - alpha), has infimum 0 and measures how near the sampler came to them.
+    """
     return run_sweep("maclaurin-ratio", n, k, l, samples=samples, seed=seed, scale=scale)
 
 

@@ -14,12 +14,12 @@ the nodal values to the central-difference Hessians of the interior nodes,
 are robin @ u - phi, and the Jacobian is C(fw) @ hess + robin, C(fw) holding
 each interior node's linearization fw = dF/dr.
 
-Cone checks, residual, Jacobian and the step to the cone boundary read only
-sigma_1..sigma_c of the interior eta-matrices and their Newton tensors, from
-operator.newton_tensors, as does manufactured_problem for the start data;
-``diagnostics`` is the one eigenvalue computation.  The sigma table has the
-order on axis 0, and every cone check is symfun._check_in_gamma, which names
-the worst node in full-grid indices.
+Cone checks, residual and Jacobian read only sigma_1..sigma_c of the interior
+eta-matrices and their Newton tensors (operator.newton_tensors), as does
+manufactured_problem; the step to the cone boundary is a root of sigma_c on
+the Newton line at the nodes that leave the cone.  ``diagnostics`` is the one
+eigenvalue computation.  The sigma table has the order on axis 0, and every
+cone check is symfun._check_in_gamma, naming the worst node in full-grid indices.
 
 Each Newton step solves its Jacobian system by GMRES, right-preconditioned
 by a direct solve of laplace_robin: eliminating the boundary rows leaves a
@@ -47,7 +47,7 @@ from .operator import OperatorSpec, _eta, _grad_from_tensors, _value_from_sigmas
 from .operator import grad_at_eta  # noqa: F401  (unused here, like sigma_all; bench/tracing.py patches both)
 from .problem import ContinuationError, NonconvergenceError  # noqa: F401  (defined in problem, which loads no scipy)
 from .problem import ProblemSpec, manufactured_problem, paraboloid
-from .symfun import ConeError, _check_in_gamma, sigma_all  # noqa: F401
+from .symfun import ConeError, _check_in_gamma, _largest_root, _root_moments, sigma_all  # noqa: F401
 
 __all__ = [
     "NewtonOptions",
@@ -72,8 +72,6 @@ _MIN_CONTINUATION_STEP = 1.0 / 256.0
 # fraction of the way to the cone boundary (the interior-point rule of
 # Waechter & Biegler 2006); Armijo halving goes on from there.
 _FRACTION_TO_BOUNDARY = 0.99
-# Relative rounding allowed in the polynomial fit of _max_admissible_step.
-_FIT_ROUNDING = 64.0 * np.finfo(float).eps
 
 # GMRES stopping tests on the true residual: |b - J x| <= rtol |b|, or the
 # backward-error test of _newton_direction; restarts of up to _GMRES_RESTART
@@ -104,8 +102,9 @@ class IterationRecord:
     ``trials`` counts the line-search trials, the accepted one included;
     ``cone_rejections`` those that left the cone and ``armijo_rejections``
     those that failed the Armijo decrease.  ``max_step`` is the largest
-    admissible step computed at the first cone rejection, None if none
-    occurred.  ``krylov_stop`` names the test that stopped GMRES, "rtol" or
+    admissible step computed at the first cone rejection and ``max_step_node``
+    the full-grid index of the node that bounds it, both None if no trial left
+    the cone.  ``krylov_stop`` names the test that stopped GMRES, "rtol" or
     "backward" (see _newton_direction).
     """
 
@@ -118,6 +117,7 @@ class IterationRecord:
     cone_rejections: int
     armijo_rejections: int
     max_step: float | None
+    max_step_node: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -381,47 +381,47 @@ def _evaluate(values: np.ndarray, sig, op: OperatorSpec, psi_t, phi, ops: _GridO
     return margin, out
 
 
+class _BoundaryStep(float):
+    """A step alpha*, whose attribute ``node`` is the full-grid index of the node that sets it."""
+
+
 def _max_admissible_step(
     values: np.ndarray, delta: np.ndarray, op: OperatorSpec, ops: _GridOperators, alpha_out: float, e_in, e_out
-) -> float:
-    """Largest alpha in [0, alpha_out] with values + alpha * delta strictly admissible, to float resolution.
+) -> _BoundaryStep:
+    """Largest alpha in [0, alpha_out] with values + alpha * delta strictly admissible, from the roots of sigma_c.
 
-    e_in and e_out are the interior sigma_0..sigma_c tables at alpha = 0
-    (admissible) and at alpha_out (not).  The eta-matrix is affine in alpha,
-    so each sigma_i is a polynomial of degree i: sampling sigma_1..sigma_c at
-    c + 1 evenly spaced steps fixes every coefficient.  The constant term is
-    taken exactly from e_in, so alpha = 0 stays admissible.  The cone is
-    convex, so the steps at which every polynomial is positive at every node
-    form an interval from 0; bisecting on that predicate finds its end without
-    evaluating another iterate.
+    e_in and e_out are the interior sigma tables at alpha = 0 (admissible) and
+    alpha_out (not).  At a node eta = eta_0 + s d, s = alpha / alpha_out.
+    sigma_c is hyperbolic with respect to eta_0 in Gamma_c (Garding 1959), so
+    q(t) = sigma_c(t eta_0 + d), of leading coefficient e_in[c] > 0, is
+    real-rooted, and the node stays in the cone for s < 1 / (q's largest
+    root).  The cone is convex, so only nodes outside it at alpha_out bound
+    the step.  newton_tensors' recurrence on the matrix polynomial t eta_0 + d
+    gives q's coefficients; a root that is not finite gives the step 0.
+
+    symfun._largest_root bounds each root from above.  Where the c roots
+    coincide (the line meets the cone's vertex) Newton stalls eps^(1/c) from
+    them, but their mean is exact to rounding, and a variance within
+    eps (c mean)^2 of 0, the rounding of its terms, makes the mean the root.
     """
     c = op.cone_order
-    s = np.arange(c + 1) / c  # alpha / alpha_out
-    inner = [_eta_tensors(values + (alpha_out * x) * delta, op, ops)[0] for x in s[1:-1]]
-    e = np.stack([table[1:] for table in (e_in, *inner, e_out)])
-    coef = np.empty_like(e)  # coef[q] multiplies s**q
-    coef[0] = e[0]
-    vander = s[1:, None] ** np.arange(1, c + 1)
-    coef[1:] = np.linalg.solve(vander, (e[1:] - e[0]).reshape(c, -1)).reshape(e[1:].shape)
-    # The fit is exact up to rounding of order eps times the samples.  Near a
-    # root of even order, such as sigma_2 = 3 t^2 at the cone's vertex t I,
-    # that rounding dips the fit below zero over a window of width ~ sqrt(eps);
-    # the polynomial does not change sign there, so the dip is not an exit.
-    floor = -_FIT_ROUNDING * np.abs(e).max(axis=0)
-
-    def admissible(x: float) -> bool:
-        p = coef[c]
-        for q in range(c - 1, -1, -1):
-            p = p * x + coef[q]
-        return bool((p > floor).all())
-
-    lo, hi = 0.0, 1.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return alpha_out * lo
+    outside = ~(e_out[1:] > 0.0).all(axis=0)  # NaN is outside
+    with np.errstate(all="ignore"):  # overflowing data leave roots that are not finite
+        eta0, d = (_eta(_interior_hessians(ops.hess, x)[outside]) for x in (values, alpha_out * delta))
+        tensor = eye = np.eye(d.shape[-1])  # T_0 = I
+        for i in range(1, c + 1):
+            prod = np.zeros((i + 1,) + d.shape)  # (t eta_0 + d) T_{i-1}, highest power of t first
+            prod[:-1] += eta0 @ tensor
+            prod[1:] += d @ tensor
+            coef = np.trace(prod, axis1=-2, axis2=-1) / i  # sigma_i(t eta_0 + d)
+            tensor = coef[..., None, None] * eye - prod
+        roots, _ = _largest_root(coef[1:], e_in[c][outside])
+        mean, var = _root_moments(coef[1:], e_in[c][outside])
+        roots = np.where(var <= np.finfo(float).eps * (c * mean) ** 2, mean, roots)
+    j = int(np.argmax(roots))  # the first NaN, if any
+    step = _BoundaryStep(alpha_out / max(roots[j], 1.0) if np.isfinite(roots[j]) else 0.0)
+    step.node = tuple(int(i) + 1 for i in np.argwhere(outside)[j])
+    return step
 
 
 def residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
@@ -639,8 +639,9 @@ def _newton(u, op: OperatorSpec, psi_t, phi, opts: NewtonOptions | None, ops: _G
                 armijo_rejections += 1
             alpha *= 0.5
         u, sig, res, rnorm, mmin = trial, sig_t, res_t, rnorm_t, mmin_t
+        node = None if max_step is None else max_step.node
         report.iterations.append(
-            IterationRecord(rnorm, alpha, mmin, krylov, stop, trials, cone_rejections, armijo_rejections, max_step)
+            IterationRecord(rnorm, alpha, mmin, krylov, stop, trials, cone_rejections, armijo_rejections, max_step, node)
         )
 
 

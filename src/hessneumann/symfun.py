@@ -188,6 +188,53 @@ def _check_in_gamma(e: np.ndarray, what: str, origin: int = 0) -> float:
     return worst
 
 
+_NEWTON_RTOL, _NEWTON_ITER = 1e-12, 40  # _largest_root stops at a step <= _NEWTON_RTOL * (1 + |t|), or after 40
+
+
+def _largest_root(coef: np.ndarray, lead) -> tuple[np.ndarray, np.ndarray]:
+    """(t, converged): largest real root of lead*t^d + coef[0]*t^(d-1) + ... + coef[d-1] per column of coef (d, m).
+
+    lead > 0 is a scalar or one per column.  The polynomial is real-rooted,
+    or a real-rooted one minus a positive constant: convex and increasing
+    right of the real-rooted one's largest root, so Newton from there descends
+    monotonically and each iterate bounds the root from above.  It starts at
+    the Laguerre-Samuelson bound mean + sqrt(d-1)*sd of d real roots (Laguerre
+    1880; Samuelson 1968) plus 1e-3, read from the top three coefficients: the
+    real-rooted one's for d >= 3, while for d <= 2 the polynomial is real-rooted.
+    converged is whether Newton's last step was at most _NEWTON_RTOL * (1 + |t|).
+    """
+    d, m = coef.shape
+    mean, var = _root_moments(coef, lead)
+    t = mean + math.sqrt(d - 1) * np.sqrt(np.maximum(var, 0.0, out=var), out=var) + 1e-3
+    p, dp = np.empty(m), np.empty(m)
+    with np.errstate(all="ignore"):  # a column whose step is not finite never converges
+        for _ in range(_NEWTON_ITER):
+            np.multiply(t, lead, out=p)
+            p += coef[0]
+            dp[...] = lead
+            for j in range(1, d):
+                dp *= t
+                dp += p
+                p *= t
+                p += coef[j]
+            step = np.divide(p, dp, out=p)
+            t -= step
+            np.abs(t, out=dp)
+            dp += 1.0
+            dp *= _NEWTON_RTOL
+            ok = np.abs(step, out=step) <= dp
+            if ok.all():
+                break
+    return t, ok
+
+
+def _root_moments(coef: np.ndarray, lead):
+    """(mean, variance) of the d roots of lead*t^d + coef[0]*t^(d-1) + coef[1]*t^(d-2) + ..., by Vieta."""
+    d = coef.shape[0]
+    mean = coef[0] / (-d * lead)
+    return mean, (coef[0] / lead) ** 2 / d - 2.0 * (coef[1] if d > 1 else 0.0) / (d * lead) - mean * mean
+
+
 def newton_maclaurin_gap(lam, k: int, l: int, r: int, s: int):
     """Slack of the generalized Newton-MacLaurin inequality.
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import sys
@@ -479,6 +480,46 @@ class TestMaxAdmissibleStep:
         assert abs(got - want) <= 1e-8 * want
         residual(ScalarField(spec.grid, values + solver._FRACTION_TO_BOUNDARY * got * delta), spec)
 
+    @pytest.mark.parametrize("case", ["k1", "k2", "quotient-cone-order-3"])
+    def test_simple_root_exits_match_bisection_to_rounding(self, case):
+        spec, values, delta = self.CASES[case]()
+        alpha_out = _first_step_outside(values, delta, spec)
+        want = _bisect_max_step(values, delta, spec, alpha_out)
+        got = _boundary_step(values, delta, spec, alpha_out)
+        assert abs(got - want) <= 1e-12 * want
+        # just past the exit one node has left the cone: the node whose root set the step
+        with pytest.raises(ConeError) as info:
+            residual(ScalarField(spec.grid, values + (1.0 + 1e-9) * want * delta), spec)
+        assert got.node == info.value.node
+
+    @pytest.mark.parametrize("alpha_out", [2.0, 1e3, 1e6])
+    @pytest.mark.parametrize("op", [OperatorSpec(3, 2), OperatorSpec(3, 2, 1)], ids=["k2", "quotient"])
+    def test_line_through_the_vertex(self, op, alpha_out):
+        # u* - alpha u* has eta = 2 (1 - alpha) I at every node, which meets the cone's
+        # vertex at alpha = 1; there all c roots of sigma_c(d + t eta_0) coincide
+        grid = BoxGrid((0.0,) * 3, (1.0,) * 3, 9)
+        spec, u_star = manufactured_problem(paraboloid(grid.center), op, 1.0, grid)
+        got = _boundary_step(u_star.values, -u_star.values, spec, alpha_out)
+        assert abs(got - 1.0) <= 4.0 * np.finfo(float).eps
+
+    def test_overflowing_direction_gives_a_zero_step_without_warnings(self):
+        # the line search then ends in its "line search underflow" error
+        grid = BoxGrid((0.0,) * 3, (1.0,) * 3, 9)
+        for op in (OperatorSpec(3, 2), OperatorSpec(3, 2, 1)):
+            spec, u_star = manufactured_problem(paraboloid(grid.center), op, 1.0, grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _boundary_step(u_star.values, -1e160 * u_star.values, spec, 1.0) == 0.0
+
+
+def _boundary_step(values, delta, spec, alpha_out):
+    """solver._max_admissible_step along values + alpha * delta, with the sigma tables at 0 and alpha_out."""
+    ops = solver._GridOperators(spec.grid, spec.beta)
+    with np.errstate(all="ignore"):  # the tables of an overflowing direction
+        e_out = solver._eta_tensors(values + alpha_out * delta, spec.op, ops)[0]
+    e_in = solver._eta_tensors(values, spec.op, ops)[0]
+    return solver._max_admissible_step(values, delta, spec.op, ops, alpha_out, e_in, e_out)
+
 
 class _Proxy:
     """A module whose named attributes are replaced and whose others are delegated."""
@@ -678,6 +719,15 @@ class TestContinuation:
         _, _, ref = read_field_binary(REPO / "bench" / "ref" / "psi-zero-17.bin")
         tol = 1e-10 * (1.0 + np.abs(spec.psi_tilde()).max())
         assert np.abs(sol.values - ref).max() <= tol
+
+    def test_psi_zero_17_names_the_node_that_bounds_each_step(self):
+        # the center node, where psi = 0: each full step leaves the cone there
+        _, rep = continuation_solve(load_problem(REPO / "problems" / "psi-zero-17.json"))
+        assert rep.converged
+        assert [r.max_step_node for r in rep.iterations] == [(8, 8, 8)] * 5
+        assert [it["max_step_node"] for it in json.loads(json.dumps(rep.to_dict()))["iterations"]] == [[8, 8, 8]] * 5
+        _, rep = continuation_solve(load_problem(REPO / "problems" / "paraboloid-17.json"))
+        assert all(r.max_step is None and r.max_step_node is None for r in rep.iterations)
 
     def test_psi_zero_17_directions_take_one_gmres_cycle(self, monkeypatch):
         # the inner loop stops on the true residual's own test, so no cycle restarts

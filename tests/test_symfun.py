@@ -10,6 +10,7 @@ from hessneumann.symfun import (
     ConeError,
     _columns,
     _deleted_sigmas,
+    _largest_root,
     cone_margin,
     in_gamma,
     newton_maclaurin_gap,
@@ -366,3 +367,32 @@ class TestOneConeCheck:
         assert (exc.order, exc.value, exc.node) == (order, value, node)
         cone = 3 if what == "maclaurin_ratio" else 2
         assert f"{what}: sigma_{order} = {value:.6g} at node {node}, outside the order-{cone} cone" in str(exc)
+
+
+def _clustered_cubics(count, width, seed):
+    """(coefficients (4, count) highest first, largest roots): cubics whose other two roots lie within width below it."""
+    rng = np.random.default_rng(seed)
+    top = 1.0 + rng.random(count)
+    roots = np.column_stack([top[:, None] * (1.0 - width * rng.random((count, 2))), top])
+    return 27.0 * np.array([np.poly(r) for r in roots]).T, top
+
+
+class TestLargestRoot:
+    def test_separated_roots_converge_to_rounding(self):
+        coef, top = _clustered_cubics(200, 0.5, seed=1)
+        t, converged = _largest_root(coef[1:], 27.0)
+        assert converged.all()
+        np.testing.assert_allclose(t, top, rtol=1e-11)  # the rounded coefficients' roots move that far
+
+    def test_clustered_roots_return_the_last_iterate_unconverged(self):
+        # within 2 % the polynomial's rounding keeps some of Newton's steps above its 1e-12 test
+        coef, top = _clustered_cubics(200, 0.02, seed=0)
+        t, converged = _largest_root(coef[1:], 27.0)
+        assert np.isfinite(t).all() and not converged.all()
+        np.testing.assert_allclose(t[~converged], top[~converged], rtol=1e-9)
+
+    def test_a_lead_per_column_gives_the_scalar_leads_floats(self):
+        coef, _ = _clustered_cubics(50, 0.5, seed=2)
+        t, converged = _largest_root(coef[1:], 27.0)
+        t_cols, converged_cols = _largest_root(coef[1:], np.full(50, 27.0))
+        assert np.array_equal(t, t_cols) and np.array_equal(converged, converged_cols)
