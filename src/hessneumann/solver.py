@@ -16,10 +16,11 @@ each interior node's linearization fw = dF/dr.
 
 Cone checks, residual and Jacobian read only sigma_1..sigma_c of the interior
 eta-matrices and their Newton tensors (operator.newton_tensors), as does
-manufactured_problem; the step to the cone boundary is a root of sigma_c on
-the Newton line at the nodes that leave the cone.  ``diagnostics`` is the one
-eigenvalue computation.  The sigma table has the order on axis 0, and every
-cone check is symfun._check_in_gamma, naming the worst node in full-grid indices.
+manufactured_problem.  Each iterate keeps its interior Hessians for the step
+to the cone boundary (a root of sigma_c on the Newton line at the nodes that
+leave the cone) and for ``diagnostics``, the one eigenvalue computation.  The
+sigma table has the order on axis 0, and every cone check is
+symfun._check_in_gamma, naming the worst node in full-grid indices.
 
 Each Newton step solves its Jacobian system by GMRES, right-preconditioned
 by a direct solve of laplace_robin: eliminating the boundary rows leaves a
@@ -104,8 +105,9 @@ class IterationRecord:
     those that failed the Armijo decrease.  ``max_step`` is the largest
     admissible step computed at the first cone rejection and ``max_step_node``
     the full-grid index of the node that bounds it, both None if no trial left
-    the cone.  ``krylov_stop`` names the test that stopped GMRES, "rtol" or
-    "backward" (see _newton_direction).
+    the cone; max_step is exact only up to the conditioning of its root of
+    sigma_c (see _max_admissible_step).  ``krylov_stop`` names the test that
+    stopped GMRES, "rtol" or "backward" (see _newton_direction).
     """
 
     residual_norm: float
@@ -363,51 +365,49 @@ def hessian_at(u: ScalarField, node: tuple[int, ...]) -> np.ndarray:
 
 
 def _eta_tensors(values: np.ndarray, op: OperatorSpec, ops: _GridOperators):
-    """newton_tensors of eta = trace(H) I - H at all interior nodes, up to the cone order: (sigma table, tensors)."""
-    return newton_tensors(_eta(_interior_hessians(ops.hess, values)), op.cone_order)
+    """(sigma table, tensors, H): the interior Hessians H of values and newton_tensors of eta = trace(H) I - H."""
+    hess = _interior_hessians(ops.hess, values)
+    return (*newton_tensors(_eta(hess), op.cone_order), hess)
 
 
-def _evaluate(values: np.ndarray, sig, op: OperatorSpec, psi_t, phi, ops: _GridOperators, what: str):
-    """(least cone margin, residual) at values, whose interior eta tensors are sig = _eta_tensors(values).
+def _evaluate(values: np.ndarray, e, op: OperatorSpec, psi_t, phi, ops: _GridOperators, what: str):
+    """(least cone margin, residual) at values, whose interior sigma table is e = _eta_tensors(values)[0].
 
     psi_t is the normalized right-hand side and phi the boundary data, both
     full-grid arrays.  Raises ConeError at the worst node, in full-grid
     indices, unless every interior node is strictly admissible.
     """
-    margin = _check_in_gamma(sig[0], what, origin=1)
+    margin = _check_in_gamma(e, what, origin=1)
     out = (ops.robin @ values.ravel()).reshape(values.shape) - phi
     core = ops.grid.interior()
-    out[core] = _value_from_sigmas(sig[0], op) - psi_t[core]
+    out[core] = _value_from_sigmas(e, op) - psi_t[core]
     return margin, out
 
 
-class _BoundaryStep(float):
-    """A step alpha*, whose attribute ``node`` is the full-grid index of the node that sets it."""
+def _max_admissible_step(h_in: np.ndarray, h_step: np.ndarray, e_in, e_out, alpha_out: float):
+    """(alpha*, full-grid node setting it): largest alpha in [0, alpha_out] with iterate + alpha delta admissible.
 
-
-def _max_admissible_step(
-    values: np.ndarray, delta: np.ndarray, op: OperatorSpec, ops: _GridOperators, alpha_out: float, e_in, e_out
-) -> _BoundaryStep:
-    """Largest alpha in [0, alpha_out] with values + alpha * delta strictly admissible, from the roots of sigma_c.
-
-    e_in and e_out are the interior sigma tables at alpha = 0 (admissible) and
-    alpha_out (not).  At a node eta = eta_0 + s d, s = alpha / alpha_out.
-    sigma_c is hyperbolic with respect to eta_0 in Gamma_c (Garding 1959), so
-    q(t) = sigma_c(t eta_0 + d), of leading coefficient e_in[c] > 0, is
-    real-rooted, and the node stays in the cone for s < 1 / (q's largest
+    h_in, e_in are the iterate's interior Hessians and sigma table, h_step the
+    Hessians of alpha_out * delta, e_out the table at alpha_out (outside the
+    cone).  At a node eta = eta_0 + s d, s = alpha / alpha_out.  sigma_c, c
+    the tables' order, is hyperbolic with respect to eta_0 in Gamma_c (Garding
+    1959), so q(t) = sigma_c(t eta_0 + d), of leading coefficient e_in[c] > 0,
+    is real-rooted, and the node stays in the cone for s < 1 / (q's largest
     root).  The cone is convex, so only nodes outside it at alpha_out bound
     the step.  newton_tensors' recurrence on the matrix polynomial t eta_0 + d
     gives q's coefficients; a root that is not finite gives the step 0.
 
-    symfun._largest_root bounds each root from above.  Where the c roots
-    coincide (the line meets the cone's vertex) Newton stalls eps^(1/c) from
-    them, but their mean is exact to rounding, and a variance within
-    eps (c mean)^2 of 0, the rounding of its terms, makes the mean the root.
+    symfun._largest_root bounds each root from above up to rounding, about
+    eps^(1/r) at an r-fold root, so the caller re-checks its trial on the full
+    sigma table.  Where the c roots coincide (the line meets the cone's vertex)
+    Newton stalls eps^(1/c) from them, but their mean is exact to rounding, and
+    a variance within eps (c mean)^2 of 0, the rounding of its terms, makes
+    the mean the root.
     """
-    c = op.cone_order
+    c = e_in.shape[0] - 1
     outside = ~(e_out[1:] > 0.0).all(axis=0)  # NaN is outside
     with np.errstate(all="ignore"):  # overflowing data leave roots that are not finite
-        eta0, d = (_eta(_interior_hessians(ops.hess, x)[outside]) for x in (values, alpha_out * delta))
+        eta0, d = _eta(h_in[outside]), _eta(h_step[outside])
         tensor = eye = np.eye(d.shape[-1])  # T_0 = I
         for i in range(1, c + 1):
             prod = np.zeros((i + 1,) + d.shape)  # (t eta_0 + d) T_{i-1}, highest power of t first
@@ -419,25 +419,24 @@ def _max_admissible_step(
         mean, var = _root_moments(coef[1:], e_in[c][outside])
         roots = np.where(var <= np.finfo(float).eps * (c * mean) ** 2, mean, roots)
     j = int(np.argmax(roots))  # the first NaN, if any
-    step = _BoundaryStep(alpha_out / max(roots[j], 1.0) if np.isfinite(roots[j]) else 0.0)
-    step.node = tuple(int(i) + 1 for i in np.argwhere(outside)[j])
-    return step
+    step = float(alpha_out / max(roots[j], 1.0)) if np.isfinite(roots[j]) else 0.0
+    return step, tuple(int(i) + 1 for i in np.argwhere(outside)[j])
 
 
 def residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     """Equation residual at every node; raises ConeError on any inadmissible node."""
     ops = _GridOperators(spec.grid, spec.beta)
-    sig = _eta_tensors(u.values, spec.op, ops)
-    _, res = _evaluate(u.values, sig, spec.op, spec.psi_tilde(), spec.phi.values, ops, "iterate")
+    e, _, _ = _eta_tensors(u.values, spec.op, ops)
+    _, res = _evaluate(u.values, e, spec.op, spec.psi_tilde(), spec.phi.values, ops, "iterate")
     return ScalarField(spec.grid, res)
 
 
 def jacobian(u: ScalarField, spec: ProblemSpec) -> sp.csr_matrix:
     """Sparse derivative of the residual with respect to every nodal value; raises ConeError off the cone."""
     ops = _GridOperators(spec.grid, spec.beta)
-    sig = _eta_tensors(u.values, spec.op, ops)
-    _check_in_gamma(sig[0], "iterate", origin=1)
-    return ops.jacobian(_grad_from_tensors(*sig, spec.op))
+    e, tensors, _ = _eta_tensors(u.values, spec.op, ops)
+    _check_in_gamma(e, "iterate", origin=1)
+    return ops.jacobian(_grad_from_tensors(e, tensors, spec.op))
 
 
 def laplace_robin(grid: BoxGrid, beta: float) -> sp.csr_matrix:
@@ -581,10 +580,9 @@ def newton_solve(u0: ScalarField, spec: ProblemSpec, opts: NewtonOptions | None 
         raise ValueError("initial guess lives on a different grid")
     ops = _GridOperators(spec.grid, spec.beta)
     report = SolveReport()
-    u = _newton(u0.values.copy(), spec.op, spec.psi_tilde(), spec.phi.values, opts, ops, report)
-    solution = ScalarField(spec.grid, u)
-    report.diagnostics = diagnostics(solution, ops=ops)
-    return solution, report
+    u, hess = _newton(u0.values.copy(), spec.op, spec.psi_tilde(), spec.phi.values, opts, ops, report)
+    report.diagnostics = _diagnostics(spec.grid, u, hess)
+    return ScalarField(spec.grid, u), report
 
 
 def _newton(u, op: OperatorSpec, psi_t, phi, opts: NewtonOptions | None, ops: _GridOperators, report: SolveReport):
@@ -593,29 +591,29 @@ def _newton(u, op: OperatorSpec, psi_t, phi, opts: NewtonOptions | None, ops: _G
     Appends one IterationRecord per accepted step to report and keeps its
     converged, residual_norm, final_margin and preconditioner_factor_s those
     of the current iterate, so a raised NonconvergenceError carries report
-    as it stood.  Returns the last iterate's values; report.converged says
-    whether it met the tolerance.
+    as it stood.  Returns the last iterate's values and interior Hessians;
+    report.converged says whether it met the tolerance.
     """
     opts = opts or NewtonOptions()
     tol = float(opts.tol) if opts.tol is not None else 1e-10 * (1.0 + float(np.abs(psi_t).max()))
-    sig = _eta_tensors(u, op, ops)
-    mmin, res = _evaluate(u, sig, op, psi_t, phi, ops, "initial guess")
+    e, tensors, hess = _eta_tensors(u, op, ops)
+    mmin, res = _evaluate(u, e, op, psi_t, phi, ops, "initial guess")
     rnorm = float(np.abs(res).max())
     steps = 0
     while True:
         report.converged = bool(rnorm <= tol)
         report.residual_norm, report.final_margin = rnorm, mmin
         if report.converged or steps >= opts.max_iter:
-            return u
+            return u, hess
         steps += 1
-        delta, krylov, stop = _newton_direction(ops.jacobian(_grad_from_tensors(*sig, op)), -res.ravel(), ops)
+        delta, krylov, stop = _newton_direction(ops.jacobian(_grad_from_tensors(e, tensors, op)), -res.ravel(), ops)
         report.preconditioner_factor_s = ops.factor_s
         if delta is None:
             reason = f"GMRES missed its tolerance {_GMRES_RTOL:g} in {krylov} iterations"
             raise NonconvergenceError(f"{reason} at residual {rnorm:.3e}", report)
         delta = delta.reshape(u.shape)
 
-        alpha, max_step = 1.0, None
+        alpha, max_step, node = 1.0, None, None
         trials = cone_rejections = armijo_rejections = 0
         while True:
             if alpha < _MIN_STEP:
@@ -623,13 +621,14 @@ def _newton(u, op: OperatorSpec, psi_t, phi, opts: NewtonOptions | None, ops: _G
                 raise NonconvergenceError(f"{reason} at residual {rnorm:.3e}", report)
             trials += 1
             trial = u + alpha * delta
-            sig_t = _eta_tensors(trial, op, ops)
+            e_t, tensors_t, hess_t = _eta_tensors(trial, op, ops)
             try:
-                mmin_t, res_t = _evaluate(trial, sig_t, op, psi_t, phi, ops, "trial iterate")
+                mmin_t, res_t = _evaluate(trial, e_t, op, psi_t, phi, ops, "trial iterate")
             except ConeError:
                 cone_rejections += 1
                 if max_step is None:
-                    max_step = _max_admissible_step(u, delta, op, ops, alpha, sig[0], sig_t[0])
+                    h_step = _interior_hessians(ops.hess, alpha * delta)
+                    max_step, node = _max_admissible_step(hess, h_step, e, e_t, alpha)
                     alpha = _FRACTION_TO_BOUNDARY * max_step
                     continue
             else:
@@ -638,8 +637,7 @@ def _newton(u, op: OperatorSpec, psi_t, phi, opts: NewtonOptions | None, ops: _G
                     break
                 armijo_rejections += 1
             alpha *= 0.5
-        u, sig, res, rnorm, mmin = trial, sig_t, res_t, rnorm_t, mmin_t
-        node = None if max_step is None else max_step.node
+        u, e, tensors, hess, res, rnorm, mmin = trial, e_t, tensors_t, hess_t, res_t, rnorm_t, mmin_t
         report.iterations.append(
             IterationRecord(rnorm, alpha, mmin, krylov, stop, trials, cone_rejections, armijo_rejections, max_step, node)
         )
@@ -673,7 +671,7 @@ def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
         t = targets[i]
         before = len(report.iterations)
         try:
-            u_t = _newton(u, op, (1.0 - t) * psi0_t + t * psi1_t, (1.0 - t) * phi0 + t * phi1, opts, ops, report)
+            stage = _newton(u, op, (1.0 - t) * psi0_t + t * psi1_t, (1.0 - t) * phi0 + t * phi1, opts, ops, report)
             reason = None
         except NonconvergenceError as exc:
             reason = str(exc)
@@ -682,7 +680,7 @@ def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
             reason = f"no convergence in {steps} Newton steps at residual {report.residual_norm:.3e}"
         report.continuation.append(StageRecord(t, report.converged, steps, reason))
         if report.converged:
-            u, t_prev, i = u_t, t, i + 1
+            (u, hess), t_prev, i = stage, t, i + 1
         else:
             step = 0.5 * (t - t_prev)
             if step < _MIN_CONTINUATION_STEP:
@@ -692,9 +690,8 @@ def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
                 )
             targets.insert(i, t_prev + step)
 
-    solution = ScalarField(grid, u)
-    report.diagnostics = diagnostics(solution, ops=ops)
-    return solution, report
+    report.diagnostics = _diagnostics(grid, u, hess)
+    return ScalarField(grid, u), report
 
 
 # ---------------------------------------------------------------------------
@@ -702,14 +699,15 @@ def continuation_solve(spec: ProblemSpec, opts: NewtonOptions | None = None):
 # ---------------------------------------------------------------------------
 
 
-def diagnostics(u: ScalarField, *, ops: _GridOperators | None = None) -> Diagnostics:
-    """Discrete gradient/Hessian/boundary suprema of a grid field; ``ops``, made for u's grid, lends its Hessian map."""
-    grid, values = u.grid, u.values
-    if ops is not None and ops.grid != grid:
-        raise ValueError("the grid operators were built for a different grid")
-    hess = _hessian_operator(grid) if ops is None else ops.hess
+def diagnostics(u: ScalarField) -> Diagnostics:
+    """Discrete gradient/Hessian/boundary suprema of a grid field."""
+    return _diagnostics(u.grid, u.values, _interior_hessians(_hessian_operator(u.grid), u.values))
+
+
+def _diagnostics(grid: BoxGrid, values: np.ndarray, hess: np.ndarray) -> Diagnostics:
+    """diagnostics of the values on grid, whose interior Hessians are hess; the solves pass their solution's."""
     sup_gradient = float(np.sqrt(sum(d * d for d in np.gradient(values, *grid.h, edge_order=2))).max())
-    sup_hessian_eig = float(np.linalg.eigvalsh(_interior_hessians(hess, values))[..., -1].max())
+    sup_hessian_eig = float(np.linalg.eigvalsh(hess)[..., -1].max())
     second, _ = _face_rows(grid, _NORMAL_D2, grid.h**-2.0)
     sup_normal_second = float(np.abs(second @ values.ravel()).max())
     return Diagnostics(sup_gradient, sup_hessian_eig, sup_normal_second)

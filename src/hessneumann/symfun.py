@@ -197,7 +197,8 @@ def _largest_root(coef: np.ndarray, lead) -> tuple[np.ndarray, np.ndarray]:
     lead > 0 is a scalar or one per column.  The polynomial is real-rooted,
     or a real-rooted one minus a positive constant: convex and increasing
     right of the real-rooted one's largest root, so Newton from there descends
-    monotonically and each iterate bounds the root from above.  It starts at
+    monotonically and bounds the root from above up to rounding: near an r-fold
+    root it may end about eps^(1/r) on either side.  It starts at
     the Laguerre-Samuelson bound mean + sqrt(d-1)*sd of d real roots (Laguerre
     1880; Samuelson 1968) plus 1e-3, read from the top three coefficients: the
     real-rooted one's for d >= 3, while for d <= 2 the polynomial is real-rooted.

@@ -289,6 +289,15 @@ class TestDeletedTermShare:
             deleted_term_share([-1.0, -1.0, -1.0], 2)
 
 
+RECORDED_SUMMARIES = ["bench/ref/summary-n6-s40000-seed42.csv", "tests/data/summary-n4-s20000-seed7-scale1e-2.csv"]
+
+
+def _recorded_rows(summary, label):
+    """The rows of one sweep label in a recorded summary.csv, a path from the repository root."""
+    with open(Path(__file__).resolve().parent.parent / summary, newline="") as f:
+        return [r for r in csv.DictReader(f) if r["label"] == label]
+
+
 class TestEllipticityRatio:
     def test_uniform(self):
         assert ellipticity_ratio([1.0, 1.0, 1.0], OperatorSpec(3, 2)) == pytest.approx(1.0 / 3.0, rel=1e-13)
@@ -310,9 +319,7 @@ class TestEllipticityRatio:
         assert repq.violations == 0 and repq.min_ratio > 0
 
 
-    @pytest.mark.parametrize(
-        "summary", ["bench/ref/summary-n6-s40000-seed42.csv", "tests/data/summary-n4-s20000-seed7-scale1e-2.csv"]
-    )
+    @pytest.mark.parametrize("summary", RECORDED_SUMMARIES)
     def test_recorded_pure_minima_hold_the_conjectured_bound(self, summary):
         """Conjecture, checked on the recorded sweeps and not proven: min_i f_i / sum_i f_i >= (n-k)/(n(n-1)).
 
@@ -321,13 +328,26 @@ class TestEllipticityRatio:
         sigma_{k-1}(eta|j) <= (k(n-k+1)/n) sigma_{k-1}(eta) on Gamma_k, an
         inequality of Lin-Trudinger type.  At k = 1 the ratio is 1/n exactly.
         """
-        with open(Path(__file__).resolve().parent.parent / summary, newline="") as f:
-            rows = [r for r in csv.DictReader(f) if r["label"] == "ellipticity-ratio"]
+        rows = _recorded_rows(summary, "ellipticity-ratio")
         assert len(rows) == sum(n - 1 for n in range(2, max(int(r["n"]) for r in rows) + 1))  # every k < n
         for r in rows:
             n, k, got = int(r["n"]), int(r["k"]), float(r["min_ratio"])
             assert got >= (n - k) / (n * (n - 1)) - 1e-12
             assert k > 1 or got == 1.0 / n
+
+    @pytest.mark.parametrize("summary", RECORDED_SUMMARIES)
+    def test_recorded_deleted_shares_at_k_n_minus_1_hold_the_conjectured_bound(self, summary):
+        """Conjecture, checked on the recorded sweeps and not proven: the deleted-term share at k = n-1 is >= 1/(n(n-1)).
+
+        A Nelder-Mead search from each sweep's argmin reaches 1/(n(n-1))
+        itself, so the bound would be sharp.  At n = 2 the share is 1/2 on
+        the whole cone.
+        """
+        rows = [r for r in _recorded_rows(summary, "deleted-term-share") if int(r["k"]) == int(r["n"]) - 1]
+        assert [int(r["n"]) for r in rows] == list(range(2, len(rows) + 2))  # every n of the sweep
+        for r in rows:
+            n, got = int(r["n"]), float(r["min_ratio"])
+            assert got >= 1.0 / (n * (n - 1)) - 1e-12
 
 
 class TestMaclaurinRatio:

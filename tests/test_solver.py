@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 from hessneumann import solver
 from hessneumann.fieldio import read_field_binary
 from hessneumann.grid import BoxGrid, ScalarField
-from hessneumann.operator import OperatorSpec, eta_matrix, grad_at_eta
+from hessneumann.operator import OperatorSpec, eta_matrix, grad_at_eta, newton_tensors
 from hessneumann.problem import build_case, load_problem, manufactured_problem, paraboloid, perturbed_paraboloid
 from hessneumann.solver import (
     ContinuationError,
@@ -466,16 +466,7 @@ class TestMaxAdmissibleStep:
         spec, values, delta = self.CASES[case]()
         alpha_out = _first_step_outside(values, delta, spec)
         want = _bisect_max_step(values, delta, spec, alpha_out)
-        ops = solver._GridOperators(spec.grid, spec.beta)
-        got = solver._max_admissible_step(
-            values,
-            delta,
-            spec.op,
-            ops,
-            alpha_out,
-            solver._eta_tensors(values, spec.op, ops)[0],
-            solver._eta_tensors(values + alpha_out * delta, spec.op, ops)[0],
-        )
+        got, _ = _boundary_step(values, delta, spec, alpha_out)
         assert 0.0 < want < alpha_out
         assert abs(got - want) <= 1e-8 * want
         residual(ScalarField(spec.grid, values + solver._FRACTION_TO_BOUNDARY * got * delta), spec)
@@ -485,12 +476,12 @@ class TestMaxAdmissibleStep:
         spec, values, delta = self.CASES[case]()
         alpha_out = _first_step_outside(values, delta, spec)
         want = _bisect_max_step(values, delta, spec, alpha_out)
-        got = _boundary_step(values, delta, spec, alpha_out)
+        got, node = _boundary_step(values, delta, spec, alpha_out)
         assert abs(got - want) <= 1e-12 * want
         # just past the exit one node has left the cone: the node whose root set the step
         with pytest.raises(ConeError) as info:
             residual(ScalarField(spec.grid, values + (1.0 + 1e-9) * want * delta), spec)
-        assert got.node == info.value.node
+        assert node == info.value.node
 
     @pytest.mark.parametrize("alpha_out", [2.0, 1e3, 1e6])
     @pytest.mark.parametrize("op", [OperatorSpec(3, 2), OperatorSpec(3, 2, 1)], ids=["k2", "quotient"])
@@ -499,7 +490,7 @@ class TestMaxAdmissibleStep:
         # vertex at alpha = 1; there all c roots of sigma_c(d + t eta_0) coincide
         grid = BoxGrid((0.0,) * 3, (1.0,) * 3, 9)
         spec, u_star = manufactured_problem(paraboloid(grid.center), op, 1.0, grid)
-        got = _boundary_step(u_star.values, -u_star.values, spec, alpha_out)
+        got, _ = _boundary_step(u_star.values, -u_star.values, spec, alpha_out)
         assert abs(got - 1.0) <= 4.0 * np.finfo(float).eps
 
     def test_overflowing_direction_gives_a_zero_step_without_warnings(self):
@@ -509,16 +500,28 @@ class TestMaxAdmissibleStep:
             spec, u_star = manufactured_problem(paraboloid(grid.center), op, 1.0, grid)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert _boundary_step(u_star.values, -1e160 * u_star.values, spec, 1.0) == 0.0
+                assert _boundary_step(u_star.values, -1e160 * u_star.values, spec, 1.0)[0] == 0.0
+
+    def test_double_top_root_off_the_vertex(self):
+        # one node, cone order 3: q(t) = det(t I + d) = (t - 2)^2 (t - 1), whose double
+        # root 2 sets alpha* = 1/2 although the roots do not all coincide
+        eta0, d = np.eye(3), np.diag([-2.0, -2.0, -1.0])
+        hess = [np.trace(x) / 2.0 * np.eye(3) - x for x in (eta0, d)]  # the H with eta(H) = x
+        e_in, e_out = (newton_tensors(x[None], 3)[0] for x in (eta0, eta0 + d))
+        got, node = solver._max_admissible_step(hess[0][None], hess[1][None], e_in, e_out, 1.0)
+        assert abs(got - 0.5) <= 1e-7 and node == (1,)
+        e_trial, _ = newton_tensors((eta0 + solver._FRACTION_TO_BOUNDARY * got * d)[None], 3)
+        assert (e_trial[1:] > 0.0).all()
 
 
 def _boundary_step(values, delta, spec, alpha_out):
-    """solver._max_admissible_step along values + alpha * delta, with the sigma tables at 0 and alpha_out."""
+    """solver._max_admissible_step along values + alpha * delta, with the tables at 0 and alpha_out: (alpha*, node)."""
     ops = solver._GridOperators(spec.grid, spec.beta)
     with np.errstate(all="ignore"):  # the tables of an overflowing direction
         e_out = solver._eta_tensors(values + alpha_out * delta, spec.op, ops)[0]
-    e_in = solver._eta_tensors(values, spec.op, ops)[0]
-    return solver._max_admissible_step(values, delta, spec.op, ops, alpha_out, e_in, e_out)
+        h_step = solver._interior_hessians(ops.hess, alpha_out * delta)
+    e_in, _, h_in = solver._eta_tensors(values, spec.op, ops)
+    return solver._max_admissible_step(h_in, h_step, e_in, e_out, alpha_out)
 
 
 class _Proxy:
@@ -587,7 +590,7 @@ class TestNewton:
         grid = spec.grid
         u0 = ScalarField(grid, quadratic_field(grid, np.eye(3), np.zeros(3)).values)
         staged = replace(psi_zero_spec(m=9), schedule=[0.5, 1.0])
-        callers = {"eigh": [], "eigvalsh": [], "diagnostics": []}
+        callers = {"eigh": [], "eigvalsh": [], "_diagnostics": []}
 
         def counted(owner, name):
             real = getattr(owner, name)
@@ -603,18 +606,40 @@ class TestNewton:
         counted(np.linalg, "eigvalsh")
         sol, rep = newton_solve(u0, spec)
         assert rep.converged and rep.iterations and rep.diagnostics is not None
-        assert callers == {"eigh": [], "eigvalsh": ["diagnostics"], "diagnostics": []}
+        assert callers == {"eigh": [], "eigvalsh": ["_diagnostics"], "_diagnostics": []}
 
         # a multi-stage continuation with clipped steps: the stages skip the diagnostics
-        counted(solver, "diagnostics")
+        counted(solver, "_diagnostics")
         callers["eigvalsh"].clear()
         sol, rep = continuation_solve(staged)
         assert rep.converged and len(rep.continuation) > 1
         assert any(r.max_step is not None for r in rep.iterations)
         # the paraboloid start data come from Newton tensors too, and no stage decomposes
-        want = {"eigh": [], "eigvalsh": ["diagnostics"], "diagnostics": ["continuation_solve"]}
+        want = {"eigh": [], "eigvalsh": ["_diagnostics"], "_diagnostics": ["continuation_solve"]}
         assert callers == want
         assert rep.diagnostics == diagnostics(sol)
+
+    def test_each_iterate_keeps_its_interior_hessians(self, monkeypatch):
+        # one Hessian evaluation per iterate and one per clipped step's direction: the
+        # boundary step and the report's diagnostics reuse the iterate's
+        callers = []
+        real = solver._interior_hessians
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_interior_hessians", spy)
+        _, rep = continuation_solve(load_problem(REPO / "problems" / "psi-zero-17.json"))
+        clipped = sum(r.max_step is not None for r in rep.iterations)
+        assert rep.converged and clipped == 5
+        assert len(callers) == 16 == 1 + sum(r.trials for r in rep.iterations) + clipped
+        assert sorted(set(callers)) == ["_eta_tensors", "_newton"] and callers.count("_newton") == clipped
+
+        callers.clear()
+        spec, u_exact = build_case("perturbed-paraboloid", 17)
+        _, rep = newton_solve(u_exact, spec)
+        assert rep.converged and callers == ["_eta_tensors"] * 3
 
     def test_krylov_iterations_are_mesh_independent(self):
         # the preconditioner is spectrally equivalent to every Jacobian, so GMRES
@@ -822,13 +847,6 @@ class TestDiagnostics:
         assert d.sup_gradient == pytest.approx(np.sqrt((grad**2).sum(axis=1)).max(), rel=1e-12)
         assert d.sup_hessian_eig == pytest.approx(np.linalg.eigvalsh(a)[-1], rel=1e-10)
         assert d.sup_normal_second == pytest.approx(np.abs(np.diag(a)).max(), rel=1e-10)
-
-    def test_grid_operators_give_the_same_diagnostics(self):
-        grid = BoxGrid((0.0, 0.0, 0.0), (1.0, 2.0, 1.5), 9)
-        u = ScalarField.from_points(grid, perturbed_paraboloid(3, 0.05).value)
-        assert diagnostics(u, ops=solver._GridOperators(grid, 1.0)) == diagnostics(u)
-        with pytest.raises(ValueError, match="different grid"):
-            diagnostics(u, ops=solver._GridOperators(BoxGrid((0.0,) * 3, (1.0,) * 3, 9), 1.0))
 
     def test_solves_report_the_diagnostics_of_their_solution(self):
         spec, u0 = paraboloid_spec()

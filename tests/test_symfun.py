@@ -391,6 +391,12 @@ class TestLargestRoot:
         assert np.isfinite(t).all() and not converged.all()
         np.testing.assert_allclose(t[~converged], top[~converged], rtol=1e-9)
 
+    def test_a_double_top_root_is_bounded_only_up_to_rounding(self):
+        # Newton bounds the root from above only up to rounding: near a root of
+        # multiplicity r it stops within about eps^(1/r), on either side
+        t, _ = _largest_root(np.poly([0.5, 1.0, 1.0])[1:, None], 1.0)
+        assert abs(t[0] - 1.0) <= 1e-7
+
     def test_a_lead_per_column_gives_the_scalar_leads_floats(self):
         coef, _ = _clustered_cubics(50, 0.5, seed=2)
         t, converged = _largest_root(coef[1:], 27.0)
